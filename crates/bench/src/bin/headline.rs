@@ -3,7 +3,7 @@
 //! profile → select → replicate → verify → re-measure pipeline on every
 //! workload and prints before/after misprediction and size.
 
-use brepl::pipeline::{run_pipeline_suite, PipelineConfig, PipelineJob};
+use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl_bench::scale_from_env;
 use brepl_workloads::all_workloads;
 
@@ -23,15 +23,9 @@ fn main() {
     // Whole pipelines fan out over the engine's workers; results come
     // back in workload order, bit-identical to a serial loop.
     let workloads = all_workloads(scale);
-    let jobs: Vec<PipelineJob> = workloads
-        .iter()
-        .map(|w| PipelineJob {
-            module: &w.module,
-            args: &w.args,
-            input: &w.input,
-        })
-        .collect();
-    let results = run_pipeline_suite(&jobs, PipelineConfig::default());
+    let results = brepl::core::par_map(&workloads, |w| {
+        run_pipeline(&w.module, &w.args, &w.input, PipelineConfig::default())
+    });
 
     for (w, result) in workloads.iter().zip(results) {
         match result {

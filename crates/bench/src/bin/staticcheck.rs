@@ -51,11 +51,12 @@ fn main() {
         }
     };
     for w in all_workloads(scale) {
-        // Both static gates run inside the pipeline too; disable them there
-        // so the timing below measures exactly one checker pass.
+        // Both static gates run inside the pipeline too; strict mode turns
+        // any gate that fires there into a typed pipeline error (a failed
+        // row), and the timing below measures one extra checker pass over
+        // the shipped program.
         let config = PipelineConfig {
-            validate: false,
-            check_history: false,
+            strict: true,
             dynamic_backstop: false,
             ..PipelineConfig::default()
         };

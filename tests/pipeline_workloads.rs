@@ -78,36 +78,31 @@ fn unlimited_budget_reaches_selection_promise() {
     );
 }
 
-/// The planner fast-path off-switch is pure: `BREPL_NO_CLASSIFY`
-/// disables the proved-site search skip, and the shipped program must
-/// stay bit-identical on every workload — the skip changes how a Profile
-/// choice is *reached*, never what ships. (The select-level unit test
-/// proves the same below the selection memo.)
+/// The planner fast-path is pure: selecting without the classification
+/// (no proved-site search skip) and with it yields the identical
+/// selection on every workload — the skip changes how a Profile choice
+/// is *reached*, never what ships. (The select-level unit test proves the
+/// same on a module where the skip fires.)
 #[test]
 fn no_classify_switch_ships_bit_identical_programs() {
+    use brepl::core::select_strategies_classified;
+    use brepl_analysis::classify_module;
+
+    let max_states = PipelineConfig::default().max_states;
     for w in all_workloads(Scale::Small) {
-        std::env::set_var("BREPL_NO_CLASSIFY", "1");
-        let off = run_pipeline(&w.module, &w.args, &w.input, PipelineConfig::default()).unwrap();
-        std::env::remove_var("BREPL_NO_CLASSIFY");
-        let on = run_pipeline(&w.module, &w.args, &w.input, PipelineConfig::default()).unwrap();
-        assert_eq!(off.program.module, on.program.module, "{}", w.name);
-        assert_eq!(off.program.provenance, on.program.provenance, "{}", w.name);
-        assert_eq!(off.replicated_sites, on.replicated_sites, "{}", w.name);
-        let (s_off, s_on) = (off.classification.unwrap(), on.classification.unwrap());
-        assert_eq!(
-            s_off.planner_skips, 0,
-            "{}: the skip ran with the switch set",
-            w.name
-        );
-        assert_eq!(
-            (s_off.proved, s_off.bounded, s_off.dependent),
-            (s_on.proved, s_on.bounded, s_on.dependent),
-            "{}",
-            w.name
-        );
+        let trace = w.run().unwrap().trace;
+        let cls = classify_module(&w.module);
         assert!(
-            s_on.converged,
+            cls.converged(),
             "{}: classification fixpoint diverged",
+            w.name
+        );
+        let (off, off_skips) = select_strategies_classified(&w.module, &trace, max_states, None);
+        let (on, _) = select_strategies_classified(&w.module, &trace, max_states, Some(&cls));
+        assert_eq!(off, on, "{}", w.name);
+        assert_eq!(
+            off_skips, 0,
+            "{}: the skip ran without a classification",
             w.name
         );
     }
@@ -172,8 +167,11 @@ fn static_planning_ships_every_workload_without_profiling() {
         let r = run_pipeline_static(&w.module, &w.args, &w.input, PipelineConfig::default())
             .unwrap_or_else(|e| panic!("{}: static pipeline failed: {e}", w.name));
         assert!(r.static_planned, "{}", w.name);
-        let est = r.estimate.expect("estimate summary present");
-        assert!(est.converged, "{}: frequency propagation diverged", w.name);
+        assert!(
+            r.estimate.converged,
+            "{}: frequency propagation diverged",
+            w.name
+        );
         assert!(
             r.quarantined.is_empty(),
             "{}: gates quarantined {:?} on an honest static plan",
