@@ -5,6 +5,8 @@
 //! strict mode. Runs only with `cargo test --features chaos`.
 #![cfg(feature = "chaos")]
 
+mod common;
+
 use brepl::core::chaos::{ChaosConfig, ChaosPoint};
 use brepl::pipeline::{run_pipeline, PipelineConfig, PipelineError, QuarantinedSite};
 use brepl::workloads::{all_workloads, Scale, Workload};
@@ -139,47 +141,8 @@ fn every_point_hard_fails_in_strict_mode() {
 #[test]
 fn forged_profile_fires_br013_while_other_gates_stay_blind() {
     use brepl_analysis::DiagCode;
-    use brepl_ir::{FunctionBuilder, Module, Operand};
 
-    let mut b = FunctionBuilder::new("main", 0);
-    let i = b.reg();
-    let acc = b.reg();
-    b.const_int(i, 0);
-    b.const_int(acc, 0);
-    let head = b.new_block();
-    let even = b.new_block();
-    let odd = b.new_block();
-    let guard_t = b.new_block();
-    let latch = b.new_block();
-    let exit = b.new_block();
-    b.jmp(head);
-    b.switch_to(head);
-    let r = b.reg();
-    b.rem(r, i.into(), Operand::imm(2));
-    let c = b.eq(r.into(), Operand::imm(0));
-    b.br(c, even, odd); // site 0: alternating — ships a machine
-    b.switch_to(even);
-    b.add(acc, acc.into(), Operand::imm(3));
-    b.jmp(latch);
-    b.switch_to(odd);
-    b.add(acc, acc.into(), Operand::imm(5));
-    b.jmp(latch);
-    b.switch_to(latch);
-    let one = b.reg();
-    b.const_int(one, 1);
-    let g = b.gt(one.into(), Operand::imm(0));
-    b.br(g, guard_t, exit); // site 1: proved always-taken
-    b.switch_to(guard_t);
-    b.add(i, i.into(), Operand::imm(1));
-    let c2 = b.lt(i.into(), Operand::imm(200));
-    b.br(c2, head, exit); // site 2: loop back edge
-    b.switch_to(exit);
-    b.out(acc.into());
-    b.ret(Some(acc.into()));
-    let mut m = Module::new();
-    m.push_function(b.finish());
-    m.renumber_branches();
-
+    let m = common::guarded_alternation_module();
     let chaos = Some(ChaosConfig {
         seed: 0,
         point: ChaosPoint::ForgeTraceEvent,
@@ -251,50 +214,10 @@ fn forged_profile_fires_br013_while_other_gates_stay_blind() {
 #[test]
 fn forged_static_profile_fires_br019_while_br001_to_br018_stay_blind() {
     use brepl_analysis::DiagCode;
-    use brepl_ir::{FunctionBuilder, Module, Operand};
 
-    // Same shape as the BR013 forge test: an alternating machine-worthy
-    // branch (site 0), a proved-always-taken guard (site 1, the exact
-    // estimate the forge can contradict), and a loop back edge (site 2).
-    let mut b = FunctionBuilder::new("main", 0);
-    let i = b.reg();
-    let acc = b.reg();
-    b.const_int(i, 0);
-    b.const_int(acc, 0);
-    let head = b.new_block();
-    let even = b.new_block();
-    let odd = b.new_block();
-    let guard_t = b.new_block();
-    let latch = b.new_block();
-    let exit = b.new_block();
-    b.jmp(head);
-    b.switch_to(head);
-    let r = b.reg();
-    b.rem(r, i.into(), Operand::imm(2));
-    let c = b.eq(r.into(), Operand::imm(0));
-    b.br(c, even, odd);
-    b.switch_to(even);
-    b.add(acc, acc.into(), Operand::imm(3));
-    b.jmp(latch);
-    b.switch_to(odd);
-    b.add(acc, acc.into(), Operand::imm(5));
-    b.jmp(latch);
-    b.switch_to(latch);
-    let one = b.reg();
-    b.const_int(one, 1);
-    let g = b.gt(one.into(), Operand::imm(0));
-    b.br(g, guard_t, exit);
-    b.switch_to(guard_t);
-    b.add(i, i.into(), Operand::imm(1));
-    let c2 = b.lt(i.into(), Operand::imm(200));
-    b.br(c2, head, exit);
-    b.switch_to(exit);
-    b.out(acc.into());
-    b.ret(Some(acc.into()));
-    let mut m = Module::new();
-    m.push_function(b.finish());
-    m.renumber_branches();
-
+    // Same shape as the BR013 forge test: the guard (site 1) carries the
+    // exact estimate the forge can contradict.
+    let m = common::guarded_alternation_module();
     let chaos = Some(ChaosConfig {
         seed: 0,
         point: ChaosPoint::ForgeStaticProfile,
