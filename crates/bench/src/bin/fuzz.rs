@@ -221,17 +221,29 @@ struct Failure {
     error: String,
 }
 
+/// Parsed command line: `(iters, seed0, json)`, defaulting to 1000
+/// iterations from seed 0. `None` on an unknown argument or a missing or
+/// non-numeric flag value.
+fn parse_args<S: AsRef<str>>(args: &[S]) -> Option<(u64, u64, bool)> {
+    let (mut iters, mut seed0, mut json) = (1000, 0, false);
+    let mut it = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--iters" => iters = it.next()?.parse().ok()?,
+            "--seed0" => seed0 = it.next()?.parse().ok()?,
+            "--json" => json = true,
+            _ => return None,
+        }
+    }
+    Some((iters, seed0, json))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_mode = args.iter().any(|a| a == "--json");
-    let flag = |name: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((iters, seed0, json_mode)) = parse_args(&args) else {
+        eprintln!("usage: fuzz [--iters N] [--seed0 S] [--json]");
+        std::process::exit(2);
     };
-    let iters = flag("--iters").unwrap_or(1000);
-    let seed0 = flag("--seed0").unwrap_or(0);
 
     let start = Instant::now();
     let mut failures: Vec<Failure> = Vec::new();
@@ -376,5 +388,27 @@ fn main() {
     }
     if !ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn parse_args_accepts_flags_and_rejects_anything_malformed() {
+        assert_eq!(parse_args::<&str>(&[]), Some((1000, 0, false)));
+        let all = ["--iters", "200", "--seed0", "7", "--json"];
+        assert_eq!(parse_args(&all), Some((200, 7, true)));
+        let bad: [&[&str]; 5] = [
+            &["--iters"],
+            &["--iters", "2OO"],
+            &["--seed0", "-1"],
+            &["--iter", "200"],
+            &["200"],
+        ];
+        for args in bad {
+            assert_eq!(parse_args(args), None, "{args:?}");
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Minimal hand-rolled JSON emission and parsing for the CI-facing bins.
 //!
 //! The workspace builds with zero external crates, so the `--json` output
-//! of `validate`, `staticcheck`, `fuzz`, `chaos` and `simbench` is
-//! assembled with this writer instead of serde, and `simbench --check`
-//! reads the committed `BENCH_sim.json` trajectory back through the small
-//! recursive-descent [`parse`] below. The schemas are flat enough that an
+//! of `validate`, `staticcheck`, `classify`, `staticprofile`, `fuzz`,
+//! `chaos` and `respec` is assembled with this writer instead of serde.
+//! The small recursive-descent [`parse`] below reads JSON back: `respec`
+//! schema-checks its own document with it, and the `brbench` package
+//! parses its result files with it. The schemas are flat enough that an
 //! object builder plus an array joiner covers everything.
 
 /// Escapes `s` for inclusion inside a JSON string literal.

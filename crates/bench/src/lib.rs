@@ -1,9 +1,10 @@
 //! # brepl-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper:
+//! One binary per table/figure of the paper, plus the suite-wide checks
+//! CI runs:
 //!
-//! | binary | reproduces |
-//! |--------|------------|
+//! | binary | reproduces / checks |
+//! |--------|---------------------|
 //! | `table1` | Table 1 — misprediction of 8 strategies × 8 programs plus branch counts |
 //! | `table2` | Table 2 — pattern-table fill rates, 1..9 history bits |
 //! | `table3` | Table 3 — loop / loop-exit branches under state machines |
@@ -11,26 +12,53 @@
 //! | `table5` | Table 5 — best achievable misprediction, 2..10 states |
 //! | `figures` | Figures 6–13 — misprediction vs code size per program |
 //! | `headline` | the abstract's claim: misprediction nearly halved at ~1.3x size |
+//! | `crossdata` | cross-dataset sensitivity: train on one input, evaluate on another |
+//! | `ablation` | refinement, size budget and machine states varied one at a time |
+//! | `validate` | static translation validation of every shipped program (`BR001`–`BR008`) |
+//! | `staticcheck` | witness-independent history check and static misprediction bound (`BR009`–`BR012`) |
+//! | `classify` | SCCP + interval direction proofs against the profile (`BR013`–`BR018`) |
+//! | `staticprofile` | static frequency estimation and profile-free planning (`BR019`–`BR022`) |
+//! | `fuzz` | differential fuzzing of random loop CFGs through the whole pipeline |
+//! | `chaos` | fault injection over workload × point × mode (feature `chaos`) |
+//! | `respec` | drift-recovery scenarios for runtime re-specialization |
 //!
 //! Scale selection: set `BREPL_SCALE=full` for the paper-sized runs
 //! (millions of branches; use `--release`); the default `small` finishes
-//! in seconds even in debug builds.
+//! in seconds even in debug builds. Any other value is an error.
+//!
+//! Performance is measured by the separate `brbench` package at the
+//! repository root, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod timing;
 
 use brepl_trace::Trace;
 use brepl_workloads::{all_workloads, Scale, Workload};
 
-/// Reads the scale from `BREPL_SCALE` (`small` default, `full` opt-in).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("BREPL_SCALE").as_deref() {
-        Ok("full") | Ok("FULL") => Scale::Full,
-        _ => Scale::Small,
+/// Parses a `BREPL_SCALE` value: unset is `small`, `small` and `full`
+/// name their scale, and anything else is an error naming the allowed
+/// values.
+pub fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        None | Some("small") => Ok(Scale::Small),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!(
+            "BREPL_SCALE={other:?} is not a scale; use `small` (the default) or `full`"
+        )),
     }
+}
+
+/// Reads the scale from `BREPL_SCALE` (see [`parse_scale`]), exiting
+/// with status 2 on a malformed value instead of silently running the
+/// small scale.
+pub fn scale_from_env() -> Scale {
+    let value = std::env::var_os("BREPL_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(value.as_deref()).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
 }
 
 /// A workload together with its profiling trace.
@@ -140,4 +168,20 @@ pub fn print_header(title: &str) {
     }
     println!();
     println!("{}", "-".repeat(24 + 9 * COLUMNS.len()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_scale_accepts_small_and_full_only() {
+        assert_eq!(parse_scale(None), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("small")), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
+        for bad in ["", "Full", "FULL", "large", "full "] {
+            let err = parse_scale(Some(bad)).expect_err(bad);
+            assert!(err.contains("`small`") && err.contains("`full`"), "{err}");
+        }
+    }
 }

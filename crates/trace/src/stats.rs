@@ -176,8 +176,8 @@ mod tests {
         // Regression guard for the resize-per-event pathology: a single
         // very high site id late in the trace must cost one pre-sized
         // allocation, not repeated growth, and the counts must still be
-        // exact. The wall-time side of this guard is simbench's `stats`
-        // stage in the committed BENCH_sim.json trajectory.
+        // exact. The wall-time side of this guard is brbench's
+        // `trace.stats_s` metric.
         let mut t = Trace::new();
         for i in 0..200_000u32 {
             t.push(ev(i % 7, i % 3 == 0));

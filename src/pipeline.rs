@@ -339,30 +339,7 @@ pub fn run_pipeline(
     config: PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
     let (outcome, output) = run_once(module, args, input, config.run)?;
-    run_pipeline_profiled(module, args, input, &outcome, &output, config)
-}
-
-/// [`run_pipeline`] on an already-profiled run.
-///
-/// `profile`/`profile_output` must be the outcome and output tape of
-/// running `module` on exactly `args`/`input` under `config.run` —
-/// execution is deterministic, so a caller that just profiled (the bench
-/// harness times profiling as its own stage) passes the measurements here
-/// instead of paying the run again, and the result is identical to
-/// [`run_pipeline`].
-///
-/// # Errors
-///
-/// As [`run_pipeline`].
-pub fn run_pipeline_profiled(
-    module: &Module,
-    args: &[Value],
-    input: &[Value],
-    profile: &Outcome,
-    profile_output: &[Value],
-    config: PipelineConfig,
-) -> Result<PipelineResult, PipelineError> {
-    let source = PlanSource::Measured(profile, profile_output);
+    let source = PlanSource::Measured(&outcome, &output);
     drive(module, args, input, source, config).map(|(result, _)| result)
 }
 
@@ -1023,7 +1000,7 @@ pub struct AdaptiveResult {
 /// program with proof-gated minimal patches instead of re-planning.
 ///
 /// Segment 0 is the planning segment: it drives the ordinary profiled
-/// pipeline ([`run_pipeline_profiled`]) end to end, gate list included.
+/// pipeline ([`run_pipeline`]) end to end, gate list included.
 /// The shipped program is then wrapped in [`brepl_core::Respec`] and run
 /// over the full concatenated tape once per segment (execution is
 /// deterministic, so each run's prefix is exactly what already shipped);
