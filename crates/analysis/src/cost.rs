@@ -13,7 +13,7 @@
 //! Because the fold is exact over the training trace, the computed bound
 //! equals the simulator-measured misprediction count on the same input —
 //! making `bound >= simulated` a differential invariant the test suite and
-//! the `staticcheck` bench binary both enforce. Like
+//! the `gates` bench binary both enforce. Like
 //! [`crate::check_history`], the replay never touches the replica-map
 //! witness: it needs only the shipped module, branch provenance, the pinned
 //! [`StaticPrediction`] and the profiling [`Trace`].

@@ -35,7 +35,7 @@
 //! estimate in integer arithmetic (`BR019`) and that no mass was
 //! assigned to proved-unreachable sites (`BR020`). Heuristic estimates
 //! are *never* gated — their drift against measurement is data (the
-//! `staticprofile` bench reports it), not corruption: a heuristic being
+//! `gates` bench reports it), not corruption: a heuristic being
 //! wrong about an input-dependent branch is precisely the hard-branch
 //! taxonomy the estimate cannot see.
 
@@ -734,8 +734,8 @@ pub fn static_profile_diags(
 }
 
 /// Mean absolute estimated-vs-measured taken-bias error over the sites
-/// the trace actually executed — the `staticprofile` bench's headline
-/// number. Returns `(mean_abs_error, sites_compared)`.
+/// the trace actually executed — the `gates` bench's estimate-section
+/// headline number. Returns `(mean_abs_error, sites_compared)`.
 pub fn bias_error(profile: &StaticProfile, stats: &TraceStats) -> (f64, usize) {
     let mut sum = 0.0f64;
     let mut n = 0usize;

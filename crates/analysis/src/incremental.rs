@@ -201,34 +201,6 @@ pub fn check_history_cached(
     diags
 }
 
-/// The patch-scoped gate: re-proves a candidate re-specialization patch
-/// under the full BR001–BR012 stack — translation validation against the
-/// original module plus the witness-independent history check — through
-/// one shared [`GateCache`]. A patch dirties at most the functions and
-/// sites it touched, so consecutive calls across a run pay only for the
-/// dirtied slices. Returns every diagnostic; the patch may commit only
-/// when none has error severity (see [`crate::has_errors`]).
-#[allow(clippy::too_many_arguments)]
-pub fn check_patch_cached(
-    original: &Module,
-    replicated: &Module,
-    map: &ReplicaMap,
-    provenance: &[BranchId],
-    spec: &HistorySpec,
-    predictions: &StaticPrediction,
-    cache: &mut GateCache,
-) -> Vec<AnalysisDiag> {
-    let mut diags = validate_replication_cached(original, replicated, map, predictions, cache);
-    diags.extend(check_history_cached(
-        replicated,
-        provenance,
-        spec,
-        predictions,
-        cache,
-    ));
-    diags
-}
-
 /// Key for one function's validator slice: the replicated function's
 /// structure, its witness slice, and every shipped prediction the checks
 /// can read.

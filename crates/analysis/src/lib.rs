@@ -72,17 +72,13 @@ pub use classify::{
 };
 pub use const_prop::{AbsVal, ConstProp, Env, FuncValues};
 pub use cost::{static_cost, CostError, CostReport, SiteCost};
-pub use diag::{
-    count_by_severity, has_errors, AnalysisDiag, DiagCode, LintConfig, LintLevel, Severity,
-};
+pub use diag::{has_errors, AnalysisDiag, DiagCode, LintConfig, LintLevel, Severity};
 pub use freq::{
     bias_error, estimate_profile, static_profile_diags, BiasEstimate, FuncProfile, SiteEstimate,
     StaticProfile, CONSERVATION_EPS,
 };
 pub use history::check_history;
-pub use incremental::{
-    check_history_cached, check_patch_cached, validate_replication_cached, GateCache,
-};
+pub use incremental::{check_history_cached, validate_replication_cached, GateCache};
 pub use interval::Interval;
 pub use lint::{dead_store_diags, lint_module, unreachable_diags, use_before_def_diags};
 pub use liveness::{liveness, term_uses, Liveness};

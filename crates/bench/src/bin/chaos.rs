@@ -15,9 +15,11 @@
 //! non-zero if any cell violates the contract.
 
 use brepl::core::chaos::{ChaosConfig, ChaosPoint};
-use brepl::pipeline::{run_pipeline, PipelineConfig, PipelineError, PipelineResult};
+use brepl::pipeline::{
+    run_pipeline, PipelineConfig, PipelineError, PipelineResult, QuarantinedSite,
+};
 use brepl_analysis::{validate_replication, Severity};
-use brepl_bench::{json, quarantine_json, scale_from_env};
+use brepl_bench::{json, json_flag, scale_from_env};
 use brepl_workloads::{all_workloads, Workload};
 
 /// Seeds scanned per cell until the injection fires. Candidate mutations
@@ -33,6 +35,19 @@ struct Cell {
     outcome: String,
     quarantined: Vec<String>,
     ok: bool,
+}
+
+/// Renders one pipeline quarantine record as JSON:
+/// `{"site":"b12","gate":"validation","codes":["BR006"],"reason":"…","round":1}`.
+fn quarantine_json(q: &QuarantinedSite) -> String {
+    let codes: Vec<String> = q.codes.iter().map(|c| format!("{c}")).collect();
+    json::Obj::new()
+        .str("site", &format!("{}", q.site))
+        .str("gate", q.gate.name())
+        .raw("codes", &json::string_array(&codes))
+        .str("reason", &q.reason)
+        .int("round", q.round as u64)
+        .build()
 }
 
 /// Runs one cell; panics inside the pipeline are caught and reported as
@@ -146,7 +161,7 @@ fn error_kind(e: &PipelineError) -> &'static str {
 }
 
 fn main() {
-    let json_mode = std::env::args().any(|a| a == "--json");
+    let json_mode = json_flag("chaos");
     let scale = scale_from_env();
     let workloads = all_workloads(scale);
 

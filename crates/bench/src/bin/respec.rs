@@ -35,7 +35,7 @@
 use std::time::Instant;
 
 use brepl::pipeline::{run_pipeline, run_pipeline_adaptive, AdaptiveConfig, PipelineConfig};
-use brepl_bench::{json, scale_from_env};
+use brepl_bench::{json, json_flag, scale_from_env, scale_name};
 use brepl_core::{memo, PatchOutcome};
 use brepl_ir::{Module, Value};
 use brepl_workloads::kmp;
@@ -320,7 +320,7 @@ fn check_schema(doc: &str) -> Result<(), String> {
 }
 
 fn main() {
-    let json_mode = std::env::args().any(|a| a == "--json");
+    let json_mode = json_flag("respec");
     let scale = scale_from_env();
 
     let mut rows = Vec::new();
@@ -363,14 +363,7 @@ fn main() {
         .collect();
     let doc = json::Obj::new()
         .str("tool", "respec")
-        .str(
-            "scale",
-            if scale == Scale::Full {
-                "full"
-            } else {
-                "small"
-            },
-        )
+        .str("scale", scale_name(scale))
         .bool("ok", !failed)
         .raw("scenarios", &json::array(&scenario_json))
         .raw(

@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON emission and parsing for the CI-facing bins.
 //!
 //! The workspace builds with zero external crates, so the `--json` output
-//! of `validate`, `staticcheck`, `classify`, `staticprofile`, `fuzz`,
-//! `chaos` and `respec` is assembled with this writer instead of serde.
+//! of `gates`, `fuzz`, `chaos` and `respec` is assembled with this writer
+//! instead of serde.
 //! The small recursive-descent [`parse`] below reads JSON back: `respec`
 //! schema-checks its own document with it, and the `brbench` package
 //! parses its result files with it. The schemas are flat enough that an

@@ -14,10 +14,7 @@
 //! | `headline` | the abstract's claim: misprediction nearly halved at ~1.3x size |
 //! | `crossdata` | cross-dataset sensitivity: train on one input, evaluate on another |
 //! | `ablation` | refinement, size budget and machine states varied one at a time |
-//! | `validate` | static translation validation of every shipped program (`BR001`–`BR008`) |
-//! | `staticcheck` | witness-independent history check and static misprediction bound (`BR009`–`BR012`) |
-//! | `classify` | SCCP + interval direction proofs against the profile (`BR013`–`BR018`) |
-//! | `staticprofile` | static frequency estimation and profile-free planning (`BR019`–`BR022`) |
+//! | `gates` | the four gate families (`BR001`–`BR022`) over every program, profile- and static-planned |
 //! | `fuzz` | differential fuzzing of random loop CFGs through the whole pipeline |
 //! | `chaos` | fault injection over workload × point × mode (feature `chaos`) |
 //! | `respec` | drift-recovery scenarios for runtime re-specialization |
@@ -50,6 +47,15 @@ pub fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
     }
 }
 
+/// The `BREPL_SCALE` value naming `scale` ([`parse_scale`]'s inverse),
+/// as the `--json` documents record it.
+pub fn scale_name(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Small => "small",
+        Scale::Full => "full",
+    }
+}
+
 /// Reads the scale from `BREPL_SCALE` (see [`parse_scale`]), exiting
 /// with status 2 on a malformed value instead of silently running the
 /// small scale.
@@ -57,6 +63,32 @@ pub fn scale_from_env() -> Scale {
     let value = std::env::var_os("BREPL_SCALE").map(|v| v.to_string_lossy().into_owned());
     parse_scale(value.as_deref()).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
+}
+
+/// Parses a bin's command-line arguments (without the program name)
+/// when `--json` is the only flag it takes: no arguments is text mode,
+/// `--json` is JSON mode, and anything else is an error naming the
+/// argument.
+pub fn parse_json_flag<S: AsRef<str>>(args: &[S]) -> Result<bool, String> {
+    let mut json = false;
+    for arg in args.iter().map(AsRef::as_ref) {
+        match arg {
+            "--json" => json = true,
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(json)
+}
+
+/// Reads `--json` from the process arguments (see [`parse_json_flag`]),
+/// printing the usage of `bin` and exiting with status 2 on anything
+/// else.
+pub fn json_flag(bin: &str) -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_json_flag(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\nusage: {bin} [--json]");
         std::process::exit(2);
     })
 }
@@ -122,20 +154,6 @@ pub fn profile_suite(scale: Scale) -> Vec<ProfiledWorkload> {
     })
 }
 
-/// Renders one pipeline quarantine record as JSON — the shared schema the
-/// `--json` modes of `validate`, `staticcheck` and `chaos` all emit:
-/// `{"site":"b12","gate":"validation","codes":["BR006"],"reason":"…","round":1}`.
-pub fn quarantine_json(q: &brepl::pipeline::QuarantinedSite) -> String {
-    let codes: Vec<String> = q.codes.iter().map(|c| format!("{c}")).collect();
-    json::Obj::new()
-        .str("site", &format!("{}", q.site))
-        .str("gate", q.gate.name())
-        .raw("codes", &json::string_array(&codes))
-        .str("reason", &q.reason)
-        .int("round", q.round as u64)
-        .build()
-}
-
 /// Short column headers in the paper's order.
 pub const COLUMNS: [&str; 8] = [
     "abalone", "c-comp", "compress", "ghostv", "predict", "prolog", "schedul", "doduc",
@@ -179,9 +197,22 @@ mod tests {
         assert_eq!(parse_scale(None), Ok(Scale::Small));
         assert_eq!(parse_scale(Some("small")), Ok(Scale::Small));
         assert_eq!(parse_scale(Some("full")), Ok(Scale::Full));
+        for scale in [Scale::Small, Scale::Full] {
+            assert_eq!(parse_scale(Some(scale_name(scale))), Ok(scale));
+        }
         for bad in ["", "Full", "FULL", "large", "full "] {
             let err = parse_scale(Some(bad)).expect_err(bad);
             assert!(err.contains("`small`") && err.contains("`full`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn parse_json_flag_accepts_only_json() {
+        assert_eq!(parse_json_flag::<&str>(&[]), Ok(false));
+        assert_eq!(parse_json_flag(&["--json"]), Ok(true));
+        for bad in [&["--jsno"][..], &["json"], &["--json", "-v"], &[""]] {
+            let err = parse_json_flag(bad).expect_err("rejected");
+            assert!(err.contains("unknown argument"), "{err}");
         }
     }
 }

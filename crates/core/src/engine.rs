@@ -11,19 +11,15 @@
 //! Thread count resolution, in priority order:
 //!
 //! 1. `BREPL_THREADS=<n>` environment variable (`1` forces serial);
-//! 2. [`std::thread::available_parallelism`];
-//! 3. `1` when the `parallel` feature is disabled.
+//! 2. [`std::thread::available_parallelism`].
 //!
 //! Nested calls run serially: a `par_map` issued from inside a `par_map`
 //! worker does not spawn further threads, so parallel bench drivers can
 //! call parallel library entry points without oversubscribing the machine.
 
-#[cfg(feature = "parallel")]
 use std::cell::Cell;
-#[cfg(feature = "parallel")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-#[cfg(feature = "parallel")]
 thread_local! {
     /// True inside a `par_map` worker; makes nested calls serial.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -36,27 +32,20 @@ const MAX_THREADS: usize = 64;
 /// The number of worker threads [`par_map`] will use.
 ///
 /// Reads `BREPL_THREADS` (clamped to `1..=64`) and falls back to the
-/// machine's available parallelism. Returns `1` when the `parallel`
-/// feature is off or when called from inside a `par_map` worker.
+/// machine's available parallelism. Returns `1` when called from inside
+/// a `par_map` worker.
 pub fn thread_count() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    if IN_WORKER.with(Cell::get) {
+        return 1;
     }
-    #[cfg(feature = "parallel")]
-    {
-        if IN_WORKER.with(Cell::get) {
-            return 1;
+    if let Ok(v) = std::env::var("BREPL_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            return n.clamp(1, MAX_THREADS);
         }
-        if let Ok(v) = std::env::var("BREPL_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.clamp(1, MAX_THREADS);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(MAX_THREADS))
-            .unwrap_or(1)
     }
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(MAX_THREADS))
+        .unwrap_or(1)
 }
 
 /// Applies `f` to every element of `items` using up to `threads` workers
@@ -90,7 +79,6 @@ where
     par_map_with(thread_count(), items, f)
 }
 
-#[cfg(feature = "parallel")]
 fn run_parallel<T, R, F>(threads: usize, items: &[T], f: &F) -> Vec<R>
 where
     T: Sync,
@@ -162,16 +150,6 @@ where
     indexed.sort_unstable_by_key(|&(i, _)| i);
     debug_assert_eq!(indexed.len(), items.len());
     indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_parallel<T, R, F>(_threads: usize, items: &[T], f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
 }
 
 #[cfg(test)]

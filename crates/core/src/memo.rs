@@ -22,6 +22,8 @@
 //!
 //! Determinism: the cached value for a key is exactly what the search
 //! would recompute, so cache hits cannot change results — only wall-clock.
+//! The memo is always on; `tests/memo_transparency.rs` checks that a
+//! selection served by per-branch hits equals one computed after [`clear`].
 //! The map is guarded by a [`Mutex`] and shared by all engine workers.
 //! Lock poisoning is deliberately ignored (`PoisonError::into_inner`): the
 //! map is only ever mutated by complete, panic-free operations (`get`,
@@ -64,14 +66,6 @@ struct MemoKey {
 /// Entry cap: a full-suite `BREPL_SCALE=full` sweep stays far below this;
 /// the cap only guards against pathological long-running processes.
 const MAX_ENTRIES: usize = 1 << 16;
-
-/// `BREPL_NO_MEMO=1` disables caching (read once per process). An A/B
-/// knob for measuring what the memo buys; results are identical either
-/// way, only wall-clock differs.
-fn disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| std::env::var_os("BREPL_NO_MEMO").is_some_and(|v| v == "1"))
-}
 
 /// Memo key for a whole-module selection: canonical module fingerprint,
 /// trace fingerprint, and the state budget. The worker-thread count is
@@ -156,9 +150,6 @@ pub fn lookup_or_compute(
     max_states: usize,
     compute: impl FnOnce() -> LoopSearchOutcome,
 ) -> Arc<LoopSearchOutcome> {
-    if disabled() {
-        return Arc::new(compute());
-    }
     let key = MemoKey {
         class,
         table_fp,
@@ -208,9 +199,6 @@ pub fn lookup_or_compute_selection(
     max_states: usize,
     compute: impl FnOnce() -> Selection,
 ) -> Arc<Selection> {
-    if disabled() {
-        return Arc::new(compute());
-    }
     let key = SelectionKey {
         module_fp,
         trace_fp,

@@ -27,7 +27,8 @@
 //!
 //! Every candidate patch is re-proved by the full BR001–BR012 gate stack
 //! before commit, through the incremental [`GateCache`] so only dirtied
-//! functions and sites pay ([`brepl_analysis::check_patch_cached`]). A
+//! functions and sites pay ([`brepl_analysis::validate_replication_cached`]
+//! and [`brepl_analysis::check_history_cached`] over one cache). A
 //! committed patch then has one **verification window**: if the next
 //! observed segment does not improve the patched sites' measured miss
 //! rate by `min_improvement`, the whole patch transaction is rolled back
@@ -41,8 +42,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use brepl_analysis::{
-    check_history, check_patch_cached, has_errors, validate_replication, AnalysisDiag, DiagCode,
-    GateCache, Severity,
+    check_history, check_history_cached, has_errors, validate_replication,
+    validate_replication_cached, AnalysisDiag, DiagCode, GateCache, Severity,
 };
 use brepl_ir::{BranchId, Loc, Module};
 use brepl_trace::{windowed_counts, PackedStream, SiteCounts, Trace, TraceStats};
@@ -806,16 +807,20 @@ impl<'m> Respec<'m> {
 
         // Re-prove the candidate under the full static gate stack via the
         // incremental cache: only functions/sites the patch dirtied pay.
-        let spec = plan.history_spec();
-        let gate_diags = check_patch_cached(
+        let mut gate_diags = validate_replication_cached(
             self.module,
             &rebuilt.module,
             &rebuilt.replica_map,
-            &rebuilt.provenance,
-            &spec,
             &rebuilt.predictions,
             &mut self.cache,
         );
+        gate_diags.extend(check_history_cached(
+            &rebuilt.module,
+            &rebuilt.provenance,
+            &plan.history_spec(),
+            &rebuilt.predictions,
+            &mut self.cache,
+        ));
         if has_errors(&gate_diags) {
             let first = gate_diags
                 .iter()
