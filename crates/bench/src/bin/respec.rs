@@ -6,7 +6,9 @@
 //! on the first post-drift segment *before* any patch lands, and on the
 //! final segment after the surviving patches — next to the misprediction
 //! of a full from-scratch re-plan on the post-drift distribution (the
-//! bar the patched program is held to) and the patch-log outcome counts.
+//! bar the patched program is held to), the patch-log outcome counts and
+//! the interpreter runs the observe loop made (`runs`: one, plus one
+//! after each commit or rollback that changed the module).
 //!
 //! | scenario | drift | expected recovery |
 //! |----------|-------|-------------------|
@@ -20,19 +22,14 @@
 //! patched misprediction is not within 10% relative (plus half a point
 //! absolute slack) of the re-plan, a patch log with rollbacks or
 //! unresolved commits on honest drift, any `BR023`/`BR024` diagnostic or
-//! quarantined site, or a control run that patched anything. The
-//! adaptive layer's no-drift hot-path overhead — a segmented simulator
-//! run against a plain run of the same module and tape — is reported
-//! alongside but not gated; a regression there shows in brbench's
-//! `drift-adapt` `ship_s` and in `sim.measure_s`, which times the
-//! `respec.segment_run` span.
+//! quarantined site, or a control run that patched anything. The output
+//! carries no timing, so it is golden-tested; the adaptive layer's cost
+//! is brbench's `drift-adapt` `ship_s` and `sim.measure_s`.
 //!
 //! With `--json` the same data is emitted as one machine-readable JSON
 //! document on stdout; the document is always re-parsed and
 //! schema-checked in-process before the bin exits, so CI gets the schema
 //! gate for free in either mode.
-
-use std::time::Instant;
 
 use brepl::pipeline::{run_pipeline, run_pipeline_adaptive, AdaptiveConfig, PipelineConfig};
 use brepl_bench::{json, json_flag, scale_from_env, scale_name};
@@ -132,17 +129,15 @@ struct Row {
     diags: usize,
     quarantined: usize,
     gate_cache_hits: usize,
-    adaptive_s: f64,
+    segment_runs: usize,
     ok: bool,
     why: String,
 }
 
 fn run_scenario(s: &Scenario) -> Result<Row, String> {
     memo::clear();
-    let start = Instant::now();
     let r = run_pipeline_adaptive(&s.module, &[], &s.segments, AdaptiveConfig::default())
         .map_err(|e| format!("{}: adaptive pipeline failed: {e}", s.name))?;
-    let adaptive_s = start.elapsed().as_secs_f64();
     memo::clear();
     let replan = run_pipeline(&s.module, &[], &s.replan_input, PipelineConfig::default())
         .map_err(|e| format!("{}: re-plan baseline failed: {e}", s.name))?;
@@ -227,62 +222,17 @@ fn run_scenario(s: &Scenario) -> Result<Row, String> {
         diags: r.respec_diags.len(),
         quarantined: r.quarantined_sites.len(),
         gate_cache_hits: r.gate_cache_hits,
-        adaptive_s,
+        segment_runs: r.segment_runs,
         ok: why.is_empty(),
         why,
     })
-}
-
-/// The adaptive layer's standing cost on the hot path: a segmented run
-/// ([`brepl_sim::Machine::run_segmented`], which marks segment
-/// boundaries as the tape drains) against a plain run of the *same*
-/// module over the *same* tape. Best-of-R de-noises both sides. The bin
-/// reports this number without gating it; a regression shows in
-/// brbench's `drift-adapt` `ship_s` and `sim.measure_s`.
-fn no_drift_overhead(scale: Scale) -> (f64, f64, f64) {
-    use brepl_sim::{Machine, RunConfig};
-    let n = if scale == Scale::Full { 40_000 } else { 2_000 };
-    let module = kmp::drift_module();
-    let segments: Vec<Vec<Value>> = (0..3u64)
-        .map(|k| kmp::biased_text(n, 50 + k, 1, 2))
-        .collect();
-    let flat: Vec<Value> = segments.concat();
-    let mut bounds = Vec::new();
-    let mut acc = 0usize;
-    for seg in &segments {
-        acc += seg.len();
-        bounds.push(acc);
-    }
-    let reps = 5;
-    let mut plain_s = f64::INFINITY;
-    let mut segmented_s = f64::INFINITY;
-    for _ in 0..reps {
-        let mut m = Machine::new(&module, RunConfig::default()).expect("machine");
-        m.set_input(flat.clone());
-        let t = Instant::now();
-        m.run("main", &[]).expect("plain run");
-        plain_s = plain_s.min(t.elapsed().as_secs_f64());
-
-        let mut m = Machine::new(&module, RunConfig::default()).expect("machine");
-        m.set_input(flat.clone());
-        let t = Instant::now();
-        m.run_segmented("main", &[], &bounds)
-            .expect("segmented run");
-        segmented_s = segmented_s.min(t.elapsed().as_secs_f64());
-    }
-    let overhead_pct = if plain_s > 0.0 {
-        100.0 * (segmented_s - plain_s) / plain_s
-    } else {
-        0.0
-    };
-    (plain_s, segmented_s, overhead_pct)
 }
 
 /// Validates the emitted document's schema; the bin gates its own
 /// output so CI needs no external JSON tooling.
 fn check_schema(doc: &str) -> Result<(), String> {
     let parsed = json::parse(doc).map_err(|(at, msg)| format!("byte {at}: {msg}"))?;
-    for key in ["tool", "scale", "ok", "scenarios", "overhead"] {
+    for key in ["tool", "scale", "ok", "scenarios"] {
         if parsed.get(key).is_none() {
             return Err(format!("missing top-level key {key:?}"));
         }
@@ -303,17 +253,12 @@ fn check_schema(doc: &str) -> Result<(), String> {
             "replan_pct",
             "verified",
             "rolled_back",
+            "segment_runs",
             "ok",
         ] {
             if s.get(key).is_none() {
                 return Err(format!("scenario {i}: missing key {key:?}"));
             }
-        }
-    }
-    let overhead = parsed.get("overhead").ok_or("missing overhead")?;
-    for key in ["plain_run_s", "segmented_run_s", "overhead_pct"] {
-        if overhead.get(key).is_none() {
-            return Err(format!("overhead: missing key {key:?}"));
         }
     }
     Ok(())
@@ -337,7 +282,6 @@ fn main() {
             }
         }
     }
-    let (plain_run_s, segmented_run_s, overhead_pct) = no_drift_overhead(scale);
 
     let scenario_json: Vec<String> = rows
         .iter()
@@ -355,7 +299,7 @@ fn main() {
                 .int("diags", r.diags as u64)
                 .int("quarantined", r.quarantined as u64)
                 .int("gate_cache_hits", r.gate_cache_hits as u64)
-                .num("adaptive_s", r.adaptive_s)
+                .int("segment_runs", r.segment_runs as u64)
                 .bool("ok", r.ok)
                 .str("why", &r.why)
                 .build()
@@ -366,14 +310,6 @@ fn main() {
         .str("scale", scale_name(scale))
         .bool("ok", !failed)
         .raw("scenarios", &json::array(&scenario_json))
-        .raw(
-            "overhead",
-            &json::Obj::new()
-                .num("plain_run_s", plain_run_s)
-                .num("segmented_run_s", segmented_run_s)
-                .num("overhead_pct", overhead_pct)
-                .build(),
-        )
         .build();
 
     if let Err(msg) = check_schema(&doc) {
@@ -385,13 +321,13 @@ fn main() {
         println!("{doc}");
     } else {
         println!(
-            "{:<15} {:>8} {:>9} {:>9} {:>9} {:>4} {:>5} {:>6}  status",
-            "scenario", "plan %", "drift %", "patch %", "replan %", "ok'd", "roll", "cache"
+            "{:<15} {:>8} {:>9} {:>9} {:>9} {:>4} {:>5} {:>6} {:>5}  status",
+            "scenario", "plan %", "drift %", "patch %", "replan %", "ok'd", "roll", "cache", "runs"
         );
-        println!("{}", "-".repeat(84));
+        println!("{}", "-".repeat(90));
         for r in &rows {
             println!(
-                "{:<15} {:>8.3} {:>9.3} {:>9.3} {:>9.3} {:>4} {:>5} {:>6}  {}",
+                "{:<15} {:>8.3} {:>9.3} {:>9.3} {:>9.3} {:>4} {:>5} {:>6} {:>5}  {}",
                 r.name,
                 r.plan_pct,
                 r.drifted_pct,
@@ -400,14 +336,11 @@ fn main() {
                 r.verified,
                 r.rolled_back,
                 r.gate_cache_hits,
+                r.segment_runs,
                 if r.ok { "ok" } else { &r.why }
             );
         }
-        println!("{}", "-".repeat(84));
-        println!(
-            "no-drift simulator overhead: plain run {plain_run_s:.4}s, segmented run \
-             {segmented_run_s:.4}s ({overhead_pct:+.1}%)"
-        );
+        println!("{}", "-".repeat(90));
         if failed {
             println!("FAIL: a drift scenario missed its acceptance bar");
         } else {

@@ -3,8 +3,9 @@
 //! the committed file under `tests/golden/<bin>.txt`.
 //!
 //! Covered: `headline`, `table1`–`table5`, `figures`, `crossdata`,
-//! `ablation`, and `gates` in text and `--json` form (golden
-//! `gates_json.txt`). A bin that exits non-zero fails its test.
+//! `ablation`, and `gates` and `respec` in text and `--json` form
+//! (goldens `gates_json.txt` and `respec_json.txt`). A bin that exits
+//! non-zero fails its test.
 //!
 //! On a mismatch the actual output is written under
 //! `target/golden_bins/` and the failure names that path; inspect it with
@@ -58,9 +59,16 @@ macro_rules! golden_bins {
     )*};
 }
 
-golden_bins!(headline, table1, table2, table3, table4, table5, figures, crossdata, ablation, gates);
+golden_bins!(
+    headline, table1, table2, table3, table4, table5, figures, crossdata, ablation, gates, respec
+);
 
 #[test]
 fn gates_json() {
     check_bin("gates_json", env!("CARGO_BIN_EXE_gates"), &["--json"]);
+}
+
+#[test]
+fn respec_json() {
+    check_bin("respec_json", env!("CARGO_BIN_EXE_respec"), &["--json"]);
 }

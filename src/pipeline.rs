@@ -985,6 +985,9 @@ pub struct AdaptiveResult {
     pub quarantined_sites: Vec<BranchId>,
     /// Incremental-gate cache hits the patch gating scored.
     pub gate_cache_hits: usize,
+    /// Interpreter runs of the shipped program in the observe loop: one,
+    /// plus one per segment whose module differs from the last run's.
+    pub segment_runs: usize,
     /// The fault the adaptive-layer chaos engine injected, if it fired
     /// (`inject-drift` / `corrupt-patch`; plan-time points record into
     /// [`PipelineResult::chaos_injection`] instead).
@@ -1002,14 +1005,18 @@ pub struct AdaptiveResult {
 /// Segment 0 is the planning segment: it drives the ordinary profiled
 /// pipeline ([`run_pipeline`]) end to end, gate list included.
 /// The shipped program is then wrapped in [`brepl_core::Respec`] and run
-/// over the full concatenated tape once per segment (execution is
-/// deterministic, so each run's prefix is exactly what already shipped);
-/// segment `k`'s event slice — delimited by
-/// [`brepl_sim::Machine::run_segmented`] marks — is measured and fed to
-/// the patcher. Every candidate patch re-proves under `BR001`–`BR012`
-/// before commit, survives one verification window or rolls back
-/// byte-identically, and the final program re-proves once more from
-/// scratch before this function returns.
+/// over the full concatenated tape (execution is deterministic, so each
+/// run's prefix is exactly what already shipped); segment `k`'s event
+/// slice — delimited by [`brepl_sim::Machine::run_segmented`] marks — is
+/// measured against the current predictions and fed to the patcher. A
+/// run is reused for as long as the shipped module is unchanged (a
+/// `SwapPin` patch touches only predictions, which never steer
+/// execution); a commit or rollback that rewrites the module re-runs it,
+/// and [`AdaptiveResult::segment_runs`] counts those runs. Every
+/// candidate patch re-proves under `BR001`–`BR012` before commit,
+/// survives one verification window or rolls back byte-identically, and
+/// the final program re-proves once more from scratch before this
+/// function returns.
 ///
 /// # Panics
 ///
@@ -1066,20 +1073,36 @@ pub fn run_pipeline_adaptive(
     let (ref_outcome, ref_output) = run_once(module, args, &input, run)?;
 
     // 5. Observe segment by segment: run the current program, slice out
-    // segment k's events, measure, feed the patcher.
+    // segment k's events, measure, feed the patcher. Execution is
+    // deterministic and its events do not read `predictions`, so the
+    // last run stands until a commit, a rollback or a chaos edit changes
+    // the module; everything derived from it is still per segment.
     let mut measures = Vec::with_capacity(segments.len());
+    let mut last: Option<(Module, Outcome, Vec<usize>, Vec<Value>)> = None;
+    let mut segment_runs = 0;
     for k in 0..segments.len() {
-        let mut m2 = Machine::new(&respec.program().module, run)?;
-        m2.set_input(input.clone());
-        let (outcome2, marks) = m2.run_segmented("main", args, &bounds)?;
-        let output2 = m2.output().to_vec();
+        if last
+            .as_ref()
+            .is_none_or(|(ran, ..)| *ran != respec.program().module)
+        {
+            // Drop the stale run first: never two full-tape traces alive.
+            drop(last.take());
+            let module = respec.program().module.clone();
+            let mut m2 = Machine::new(&module, run)?;
+            m2.set_input(input.clone());
+            let (outcome, marks) = m2.run_segmented("main", args, &bounds)?;
+            let output = m2.output().to_vec();
+            segment_runs += 1;
+            last = Some((module, outcome, marks, output));
+        }
+        let (_, outcome2, marks, output2) = last.as_ref().expect("a run is cached");
         if config.pipeline.dynamic_backstop {
             check_equivalence_outcomes(
                 respec.program(),
                 &ref_outcome,
                 &ref_output,
-                &outcome2,
-                &output2,
+                outcome2,
+                output2,
             )
             .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
         }
@@ -1138,6 +1161,7 @@ pub fn run_pipeline_adaptive(
         demoted_sites,
         quarantined_sites,
         gate_cache_hits,
+        segment_runs,
         #[cfg(feature = "chaos")]
         chaos_injection: chaos.into_injection(),
         program,

@@ -145,6 +145,7 @@ fn adaptive_suite_is_bit_identical_serial_vs_parallel() {
             assert_eq!(s.enabled_sites, p.enabled_sites, "job {i}");
             assert_eq!(s.demoted_sites, p.demoted_sites, "job {i}");
             assert_eq!(s.quarantined_sites, p.quarantined_sites, "job {i}");
+            assert_eq!(s.segment_runs, p.segment_runs, "job {i}");
             // Bit-identical shipped artifacts.
             assert_eq!(
                 s.program.module, p.program.module,

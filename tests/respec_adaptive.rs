@@ -3,13 +3,32 @@
 //! 10% of a from-scratch re-plan, demotion and re-inflation of machine
 //! sites, proof-gated rollback, and flapping-site quarantine (`BR024`).
 
-use brepl::core::{PatchKind, PatchOutcome};
+use brepl::core::{PatchKind, PatchOutcome, PatchRecord};
 use brepl::pipeline::{run_pipeline, run_pipeline_adaptive, AdaptiveConfig, PipelineConfig};
 use brepl::workloads::kmp;
 use brepl::workloads::synth::{gate_tape, input_gate_module, GatePattern};
 use brepl_analysis::DiagCode;
 
 const N: usize = 2000;
+
+/// The interpreter runs the observe loop owes a patch log: the first
+/// segment's, plus one after each transaction that changed the module
+/// (a `Demote` or `Reinflate` commit) and one after each such rollback,
+/// which restores an older module. `SwapPin` touches only predictions,
+/// so the run before it still stands.
+fn expected_segment_runs(log: &[PatchRecord]) -> usize {
+    let module_changing = || {
+        log.iter()
+            .filter(|rec| !matches!(rec.kind, PatchKind::SwapPin { .. }))
+    };
+    let commits: std::collections::BTreeSet<usize> =
+        module_changing().map(|rec| rec.segment).collect();
+    let rollbacks: std::collections::BTreeSet<usize> = module_changing()
+        .filter(|rec| rec.outcome == PatchOutcome::RolledBack)
+        .map(|rec| rec.segment)
+        .collect();
+    1 + commits.len() + rollbacks.len()
+}
 
 /// kmp over text whose bias flips from P('a')=¼ to ¾ after planning.
 /// The closed forms say: before drift ≈ ⅔·¼ = 16.7% misprediction,
@@ -37,6 +56,9 @@ fn kmp_swap_drift_recovers_within_ten_percent_of_replan() {
     assert!(before < 20.0, "pre-drift {before:.2}%");
     assert!(drifted > 2.0 * before, "unpatched drift {drifted:.2}%");
     assert!(patched < 20.0, "patched {patched:.2}%");
+    // Swaps change only predictions: one run serves every segment, and
+    // the patched segment's misprediction still falls.
+    assert_eq!(r.segment_runs, 1);
 
     // Swap patches committed at the drift segment and verified on the
     // next; nothing rolled back, nothing quarantined.
@@ -76,6 +98,7 @@ fn stable_distribution_never_patches() {
     let r = run_pipeline_adaptive(&module, &[], &segments, AdaptiveConfig::default()).unwrap();
     assert!(r.patch_log.is_empty(), "{:?}", r.patch_log);
     assert!(r.respec_diags.is_empty());
+    assert_eq!(r.segment_runs, 1);
     // Misprediction stays flat across segments.
     for s in &r.segments {
         assert!(
@@ -115,6 +138,9 @@ fn machine_site_demotes_when_its_pattern_dies() {
     assert_eq!(demote.outcome, PatchOutcome::Verified, "{demote:?}");
     assert!(r.demoted_sites.contains(&site));
     assert!(!r.enabled_sites.contains(&site));
+    // The demotion rewrote the module: the next segment re-runs.
+    assert_eq!(r.segment_runs, expected_segment_runs(&r.patch_log));
+    assert_eq!(r.segment_runs, 2);
     // The demoted pin (constant taken) predicts the constant tape
     // perfectly.
     let last = r.segments.last().unwrap();
@@ -146,6 +172,7 @@ fn demoted_machine_reinflates_when_drift_reverses() {
     // The machine is back in control and predicting the alternation.
     assert!(r.enabled_sites.contains(&site));
     assert!(!r.demoted_sites.contains(&site));
+    assert_eq!(r.segment_runs, expected_segment_runs(&r.patch_log));
     let last = r.segments.last().unwrap();
     assert!(last.misprediction_percent < 5.0, "{last:?}");
 }
@@ -191,6 +218,7 @@ fn flapping_site_is_quarantined_after_backoff() {
     let commit_segments: std::collections::BTreeSet<usize> =
         rolled.iter().map(|rec| rec.segment).collect();
     assert!(commit_segments.len() <= 2, "{commit_segments:?}");
+    assert_eq!(r.segment_runs, expected_segment_runs(&r.patch_log));
 
     // The final program is byte-identical to the never-patched plan:
     // every patch rolled back.
