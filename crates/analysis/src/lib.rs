@@ -52,8 +52,8 @@ mod const_prop;
 mod cost;
 mod diag;
 mod freq;
+mod gate_cache;
 mod history;
-mod incremental;
 mod interval;
 mod lint;
 mod liveness;
@@ -77,8 +77,8 @@ pub use freq::{
     bias_error, estimate_profile, static_profile_diags, BiasEstimate, FuncProfile, SiteEstimate,
     StaticProfile, CONSERVATION_EPS,
 };
+pub use gate_cache::{check_history_cached, validate_replication_cached, GateCache};
 pub use history::check_history;
-pub use incremental::{check_history_cached, validate_replication_cached, GateCache};
 pub use interval::Interval;
 pub use lint::{dead_store_diags, lint_module, unreachable_diags, use_before_def_diags};
 pub use liveness::{liveness, term_uses, Liveness};

@@ -1,10 +1,13 @@
 //! Release-scale differential fuzzing of the pipeline: deterministic
 //! random loop programs through `run_pipeline` with every gate and the
-//! dynamic backstop armed, asserting no panic and execution equivalence.
+//! dynamic backstop armed, asserting no panic and execution equivalence,
+//! plus the classification-soundness and estimator-totality oracles on
+//! every iteration.
 //!
-//! The tier-1 test `tests/fuzz_pipeline.rs` runs a bounded slice of this
-//! harness; this bin runs thousands of iterations in release mode and is
-//! what the ≥1000-iteration acceptance run and the CI fuzz smoke use.
+//! The oracles live in `brepl_bench::fuzz`; the tier-1 test
+//! `tests/fuzz_pipeline.rs` runs a bounded slice of the same ones. This
+//! bin runs thousands of iterations in release mode and is what the
+//! ≥1000-iteration acceptance run and the CI fuzz smoke use.
 //!
 //! Usage: `fuzz [--iters N] [--seed0 S] [--json]`
 //!
@@ -17,9 +20,9 @@
 
 use std::time::Instant;
 
-use brepl::pipeline::{run_pipeline, PipelineConfig};
+use brepl::pipeline::PipelineConfig;
+use brepl_bench::fuzz::{classify_case, estimate_case, pipeline_case, shrink};
 use brepl_bench::json;
-use brepl_workloads::synth::random_loop_module;
 
 /// The deterministic config cycle (index = seed % 4), plus the
 /// classification-soundness and estimator-totality oracles that run on
@@ -51,165 +54,8 @@ fn variant_config(idx: usize) -> PipelineConfig {
     }
 }
 
-/// One fuzz case; `Err` describes the failure (panic text or typed error).
-/// Success with the default/strict configs implies execution equivalence —
-/// the dynamic backstop replayed original vs. replicated and they agreed.
-fn pipeline_case(
-    seed: u64,
-    diamonds: usize,
-    trip: i64,
-    config: PipelineConfig,
-) -> Result<(), String> {
-    let outcome = std::panic::catch_unwind(|| {
-        let m = random_loop_module(seed, diamonds, trip);
-        run_pipeline(&m, &[], &[], config)
-    });
-    match outcome {
-        Err(payload) => Err(format!("panicked: {}", panic_text(&payload))),
-        Ok(Err(e)) => Err(format!("pipeline error: {e}")),
-        Ok(Ok(result)) => {
-            if config.strict && !result.quarantined.is_empty() {
-                Err("strict run returned quarantined sites".to_string())
-            } else {
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Classification-soundness oracle (variant name `classify-oracle`): the
-/// same check as the tier-1 `fuzz_classification_is_sound` test, at
-/// release scale — a proved verdict contradicted by the module's honest
-/// simulated trace, an executed site proved unreachable, or any
-/// error-severity diagnostic from the gate on an honest trace is an
-/// analysis bug.
-fn classify_case(seed: u64, diamonds: usize, trip: i64) -> Result<(), String> {
-    let outcome = std::panic::catch_unwind(|| {
-        let m = random_loop_module(seed, diamonds, trip);
-        let cls = brepl_analysis::classify_module(&m);
-        let run = brepl_sim::Machine::new(&m, brepl_sim::RunConfig::default())
-            .map_err(|e| format!("machine init: {e}"))?
-            .run("main", &[])
-            .map_err(|e| format!("run: {e}"))?;
-        for ev in run.trace.iter() {
-            if let Some(sc) = cls.by_site(ev.site) {
-                if !sc.reachable {
-                    return Err(format!("site {} proved unreachable but executed", ev.site));
-                }
-                if let Some(dir) = sc.class.proved_direction() {
-                    if ev.taken != dir {
-                        return Err(format!(
-                            "site {} proved {} but the trace went the other way",
-                            ev.site,
-                            if dir { "always-taken" } else { "never-taken" },
-                        ));
-                    }
-                }
-            }
-        }
-        let diags = brepl_analysis::classification_diags(&m, &cls, &run.trace.stats());
-        let errors: Vec<String> = diags
-            .iter()
-            .filter(|d| d.severity() == brepl_analysis::Severity::Error)
-            .map(|d| d.render(&m))
-            .collect();
-        if !errors.is_empty() {
-            return Err(format!(
-                "honest trace fails the gate: {}",
-                errors.join("; ")
-            ));
-        }
-        Ok(())
-    });
-    match outcome {
-        Err(payload) => Err(format!("panicked: {}", panic_text(&payload))),
-        Ok(r) => r,
-    }
-}
-
-/// Estimator-totality oracle (variant name `estimate-oracle`): the same
-/// check as the tier-1 `fuzz_estimator_is_total_and_gate_silent_when_honest`
-/// test, at release scale — the static profile estimator must never
-/// panic, never emit a non-finite or negative frequency, always satisfy
-/// its own flow-conservation invariant, and its drift gate
-/// (`BR019`/`BR020`/`BR021`) must stay silent against the module's
-/// honest trace. `BR022` fail-closed reports are the contract on
-/// pathological flow and are tolerated.
-fn estimate_case(seed: u64, diamonds: usize, trip: i64) -> Result<(), String> {
-    use brepl_analysis::DiagCode;
-    let outcome = std::panic::catch_unwind(|| {
-        let m = random_loop_module(seed, diamonds, trip);
-        let cls = brepl_analysis::classify_module(&m);
-        let profile = brepl_analysis::estimate_profile(&m, &cls);
-        for s in &profile.sites {
-            if !s.freq.is_finite() || s.freq < 0.0 {
-                return Err(format!("site {} has bogus frequency {}", s.site, s.freq));
-            }
-            let p = s.bias.prob();
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!(
-                    "site {} bias probability {p} outside [0,1]",
-                    s.site
-                ));
-            }
-        }
-        if let Some((f, b, err)) = profile.check_conservation(&m).first() {
-            return Err(format!("conservation violated at {f}/{b} by {err}"));
-        }
-        let run = brepl_sim::Machine::new(&m, brepl_sim::RunConfig::default())
-            .map_err(|e| format!("machine init: {e}"))?
-            .run("main", &[])
-            .map_err(|e| format!("run: {e}"))?;
-        let diags = brepl_analysis::static_profile_diags(&m, &cls, &profile, &run.trace.stats());
-        let false_alarms: Vec<String> = diags
-            .iter()
-            .filter(|d| {
-                matches!(
-                    d.code,
-                    DiagCode::EstimateDriftConflict
-                        | DiagCode::EstimateUnreachableMass
-                        | DiagCode::EstimateConservationViolation
-                )
-            })
-            .map(|d| d.render(&m))
-            .collect();
-        if !false_alarms.is_empty() {
-            return Err(format!(
-                "honest trace fires the drift gate: {}",
-                false_alarms.join("; ")
-            ));
-        }
-        Ok(())
-    });
-    match outcome {
-        Err(payload) => Err(format!("panicked: {}", panic_text(&payload))),
-        Ok(r) => r,
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "<non-string payload>".to_string())
-}
-
-/// Greedily shrinks a failing case, reducing `diamonds` first (structure),
-/// then halving `trip` (work), while the failure persists.
-fn shrink(seed: u64, diamonds: usize, trip: i64, config: PipelineConfig) -> (usize, i64) {
-    let (mut d, mut t) = (diamonds, trip);
-    loop {
-        if d > 0 && pipeline_case(seed, d - 1, t, config).is_err() {
-            d -= 1;
-        } else if t > 1 && pipeline_case(seed, d, t / 2, config).is_err() {
-            t /= 2;
-        } else {
-            break;
-        }
-    }
-    (d, t)
-}
+/// One oracle at one iteration's seed, as a function of `(diamonds, trip)`.
+type Case<'a> = &'a dyn Fn(usize, i64) -> Result<(), String>;
 
 struct Failure {
     seed: u64,
@@ -253,81 +99,37 @@ fn main() {
         let config = variant_config(variant);
         let diamonds = (seed % 5) as usize;
         let trip = 20 + (seed % 7) as i64 * 20;
-        if let Err(error) = pipeline_case(seed, diamonds, trip, config) {
-            let (sd, st) = shrink(seed, diamonds, trip, config);
+        // The classification-soundness and estimator-totality oracles
+        // ride along on every iteration: the pipeline's non-strict gates
+        // quarantine rather than error, so an unsound verdict needs its
+        // own check, and the always-on estimator would poison every run.
+        let oracles: [(usize, &str, Case); 3] = [
+            (variant, "fuzz failure", &|d, t| {
+                pipeline_case(seed, d, t, config)
+            }),
+            (4, "classification unsound", &|d, t| {
+                classify_case(seed, d, t)
+            }),
+            (5, "estimator broken", &|d, t| estimate_case(seed, d, t)),
+        ];
+        for (variant, what, case) in oracles {
+            let Err(error) = case(diamonds, trip) else {
+                continue;
+            };
+            let (sd, st) = shrink(diamonds, trip, case);
             if !json_mode {
+                let config_name = match variant {
+                    0..=3 => format!(" variant={}", VARIANT_NAMES[variant]),
+                    _ => String::new(),
+                };
                 eprintln!(
-                    "fuzz failure, minimal repro: seed={seed} diamonds={sd} trip={st} \
-                     variant={} (random_loop_module(seed, diamonds, trip)); \
-                     original failure: {error}",
-                    VARIANT_NAMES[variant]
+                    "{what}, minimal repro: seed={seed} diamonds={sd} trip={st}{config_name} \
+                     (random_loop_module(seed, diamonds, trip)); original failure: {error}"
                 );
             }
             failures.push(Failure {
                 seed,
                 variant,
-                diamonds,
-                trip,
-                shrunk_diamonds: sd,
-                shrunk_trip: st,
-                error,
-            });
-        }
-        // The classification-soundness oracle rides along on every
-        // iteration — the pipeline's non-strict gate quarantines rather
-        // than errors, so an unsound verdict needs its own check.
-        if let Err(error) = classify_case(seed, diamonds, trip) {
-            let (mut sd, mut st) = (diamonds, trip);
-            loop {
-                if sd > 0 && classify_case(seed, sd - 1, st).is_err() {
-                    sd -= 1;
-                } else if st > 1 && classify_case(seed, sd, st / 2).is_err() {
-                    st /= 2;
-                } else {
-                    break;
-                }
-            }
-            if !json_mode {
-                eprintln!(
-                    "classification unsound, minimal repro: seed={seed} diamonds={sd} \
-                     trip={st} (random_loop_module(seed, diamonds, trip)); \
-                     original failure: {error}"
-                );
-            }
-            failures.push(Failure {
-                seed,
-                variant: 4,
-                diamonds,
-                trip,
-                shrunk_diamonds: sd,
-                shrunk_trip: st,
-                error,
-            });
-        }
-        // The estimator-totality oracle also rides along on every
-        // iteration: the estimator is always-on in the pipeline, so a
-        // panic or a drift-gate false alarm would poison every run.
-        if let Err(error) = estimate_case(seed, diamonds, trip) {
-            let (mut sd, mut st) = (diamonds, trip);
-            loop {
-                if sd > 0 && estimate_case(seed, sd - 1, st).is_err() {
-                    sd -= 1;
-                } else if st > 1 && estimate_case(seed, sd, st / 2).is_err() {
-                    st /= 2;
-                } else {
-                    break;
-                }
-            }
-            if !json_mode {
-                eprintln!(
-                    "estimator broken, minimal repro: seed={seed} diamonds={sd} \
-                     trip={st} (random_loop_module(seed, diamonds, trip)); \
-                     original failure: {error}"
-                );
-            }
-            failures.push(Failure {
-                seed,
-                variant: 5,
                 diamonds,
                 trip,
                 shrunk_diamonds: sd,

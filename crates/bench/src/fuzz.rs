@@ -1,0 +1,186 @@
+//! The differential fuzz oracles, defined once: the `fuzz` bin sweeps
+//! them for thousands of release-mode iterations, and the tier-1 test
+//! `tests/fuzz_pipeline.rs` runs a bounded slice of each.
+//!
+//! A case is the module `random_loop_module(seed, diamonds, trip)`
+//! (`brepl_workloads::synth`). Every oracle returns `Err` describing the
+//! failure, a panic anywhere inside included (`panicked: <message>`), and
+//! [`shrink`] reduces a failing case to a minimal `(diamonds, trip)`.
+
+use std::any::Any;
+use std::panic::{catch_unwind, UnwindSafe};
+
+use brepl::pipeline::{run_pipeline, PipelineConfig};
+use brepl_analysis::{
+    classification_diags, classify_module, estimate_profile, static_profile_diags, DiagCode,
+    Severity,
+};
+use brepl_ir::Module;
+use brepl_sim::{Machine, Outcome, RunConfig};
+use brepl_workloads::synth::random_loop_module;
+
+/// Pipeline oracle: the full pipeline under `config`, with every gate and
+/// the dynamic backstop armed, so success implies execution equivalence
+/// between the original and the shipped program. Quarantine may fire in
+/// default mode; a strict run that returns quarantined sites fails.
+pub fn pipeline_case(
+    seed: u64,
+    diamonds: usize,
+    trip: i64,
+    config: PipelineConfig,
+) -> Result<(), String> {
+    caught(move || {
+        let m = random_loop_module(seed, diamonds, trip);
+        let result =
+            run_pipeline(&m, &[], &[], config).map_err(|e| format!("pipeline error: {e}"))?;
+        if config.strict && !result.quarantined.is_empty() {
+            return Err("strict run returned quarantined sites".to_string());
+        }
+        Ok(())
+    })
+}
+
+/// Classification-soundness oracle: a direction verdict contradicted by
+/// the simulated trace is an analysis bug. Every proved-monostatic
+/// verdict must match the honest trace event by event, nothing proved
+/// unreachable may execute, and the classification gate (exact
+/// `BoundedBias` rationals included) must pass with zero error-severity
+/// diagnostics.
+pub fn classify_case(seed: u64, diamonds: usize, trip: i64) -> Result<(), String> {
+    caught(move || {
+        let m = random_loop_module(seed, diamonds, trip);
+        let cls = classify_module(&m);
+        let run = honest_run(&m)?;
+        for ev in run.trace.iter() {
+            if let Some(sc) = cls.by_site(ev.site) {
+                if !sc.reachable {
+                    return Err(format!("site {} proved unreachable but executed", ev.site));
+                }
+                if let Some(dir) = sc.class.proved_direction() {
+                    if ev.taken != dir {
+                        return Err(format!(
+                            "site {} proved {} but the trace went the other way",
+                            ev.site,
+                            if dir { "always-taken" } else { "never-taken" },
+                        ));
+                    }
+                }
+            }
+        }
+        let diags = classification_diags(&m, &cls, &run.trace.stats());
+        let errors: Vec<String> = diags
+            .iter()
+            .filter(|d| d.severity() == Severity::Error)
+            .map(|d| d.render(&m))
+            .collect();
+        if !errors.is_empty() {
+            return Err(format!(
+                "honest trace fails the gate: {}",
+                errors.join("; ")
+            ));
+        }
+        Ok(())
+    })
+}
+
+/// Estimator-totality oracle: the static profile estimator must be a
+/// total function of the module — never panic, never emit a NaN,
+/// infinite or negative site frequency, block frequency or edge
+/// probability, keep every bias probability in `[0, 1]`, and satisfy its
+/// own flow-conservation invariant — and its drift gate must stay silent
+/// on honest data: the estimate judged against the module's simulated
+/// trace fires no `BR019`/`BR020`/`BR021`. `BR022` fail-closed reports
+/// are the contract on pathological flow, so the oracle tolerates them.
+pub fn estimate_case(seed: u64, diamonds: usize, trip: i64) -> Result<(), String> {
+    caught(move || {
+        let m = random_loop_module(seed, diamonds, trip);
+        let cls = classify_module(&m);
+        let profile = estimate_profile(&m, &cls);
+        for s in &profile.sites {
+            if !s.freq.is_finite() || s.freq < 0.0 {
+                return Err(format!("site {} has bogus frequency {}", s.site, s.freq));
+            }
+            let p = s.bias.prob();
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!(
+                    "site {} bias probability {p} outside [0,1]",
+                    s.site
+                ));
+            }
+        }
+        for (f, fp) in profile.funcs.iter().enumerate() {
+            for freqs in [&fp.bfreq, &fp.prob] {
+                if let Some(bad) = freqs.iter().find(|v| !v.is_finite() || **v < 0.0) {
+                    return Err(format!("function {f} carries bogus value {bad}"));
+                }
+            }
+        }
+        if let Some((f, b, err)) = profile.check_conservation(&m).first() {
+            return Err(format!("conservation violated at {f}/{b} by {err}"));
+        }
+        let run = honest_run(&m)?;
+        let diags = static_profile_diags(&m, &cls, &profile, &run.trace.stats());
+        let false_alarms: Vec<String> = diags
+            .iter()
+            .filter(|d| {
+                matches!(
+                    d.code,
+                    DiagCode::EstimateDriftConflict
+                        | DiagCode::EstimateUnreachableMass
+                        | DiagCode::EstimateConservationViolation
+                )
+            })
+            .map(|d| d.render(&m))
+            .collect();
+        if !false_alarms.is_empty() {
+            return Err(format!(
+                "honest trace fires the drift gate: {}",
+                false_alarms.join("; ")
+            ));
+        }
+        Ok(())
+    })
+}
+
+/// Greedily shrinks a case that fails `case` while the failure persists:
+/// `diamonds` first (structure), then halving `trip` (work). Returns the
+/// minimal `(diamonds, trip)`.
+pub fn shrink(
+    diamonds: usize,
+    trip: i64,
+    case: impl Fn(usize, i64) -> Result<(), String>,
+) -> (usize, i64) {
+    let (mut d, mut t) = (diamonds, trip);
+    loop {
+        if d > 0 && case(d - 1, t).is_err() {
+            d -= 1;
+        } else if t > 1 && case(d, t / 2).is_err() {
+            t /= 2;
+        } else {
+            return (d, t);
+        }
+    }
+}
+
+/// The message of a caught panic payload.
+fn panic_text(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "<non-string payload>".to_string())
+}
+
+/// Runs one oracle body, reporting a panic as a failure.
+fn caught(body: impl FnOnce() -> Result<(), String> + UnwindSafe) -> Result<(), String> {
+    catch_unwind(body).unwrap_or_else(|payload| Err(format!("panicked: {}", panic_text(&*payload))))
+}
+
+/// The module's own run on empty arguments and input: the honest trace
+/// the analyses are judged against.
+fn honest_run(m: &Module) -> Result<Outcome, String> {
+    Machine::new(m, RunConfig::default())
+        .map_err(|e| format!("machine init: {e}"))?
+        .run("main", &[])
+        .map_err(|e| format!("run: {e}"))
+}

@@ -16,8 +16,7 @@
 //! | `ablation` | refinement, size budget and machine states varied one at a time |
 //! | `gates` | the four gate families (`BR001`–`BR022`) over every program, profile- and static-planned |
 //! | `fuzz` | differential fuzzing of random loop CFGs through the whole pipeline |
-//! | `chaos` | fault injection over workload × point × mode (feature `chaos`) |
-//! | `respec` | drift-recovery scenarios for runtime re-specialization |
+//! //! | `respec` | drift-recovery scenarios for runtime re-specialization |
 //!
 //! Scale selection: set `BREPL_SCALE=full` for the paper-sized runs
 //! (millions of branches; use `--release`); the default `small` finishes
@@ -29,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fuzz;
 pub mod json;
 
 use brepl_trace::Trace;

@@ -51,7 +51,7 @@ use brepl_trace::{windowed_counts, PackedStream, SiteCounts, Trace, TraceStats};
 use crate::replicate::{
     apply_plan, BranchMachine, ReplicateError, ReplicatedProgram, ReplicationPlan,
 };
-use crate::select::{ChosenStrategy, Selection};
+use crate::select::Selection;
 
 /// Tunables for the re-specialization layer.
 #[derive(Clone, Copy, Debug)]
@@ -316,17 +316,6 @@ impl<'m> Respec<'m> {
     /// never need it.
     pub fn program_mut(&mut self) -> &mut ReplicatedProgram {
         &mut self.program
-    }
-
-    /// Every diagnostic emitted so far (only BR023/BR024; gate findings
-    /// from rejected candidates are folded into BR023 details).
-    pub fn diags(&self) -> &[AnalysisDiag] {
-        &self.diags
-    }
-
-    /// The full patch log, oldest first.
-    pub fn log(&self) -> &[PatchRecord] {
-        &self.log
     }
 
     /// Sites currently machine-controlled.
@@ -905,13 +894,4 @@ impl<'m> Respec<'m> {
             });
         }
     }
-}
-
-/// Convenience: which strategy `selection` chose for `site`, for callers
-/// assembling the shipped-site set.
-pub fn is_machine_choice(selection: &Selection, site: BranchId) -> bool {
-    selection
-        .choices()
-        .iter()
-        .any(|c| c.site == site && !matches!(c.chosen, ChosenStrategy::Profile))
 }

@@ -18,10 +18,9 @@ use std::error::Error;
 use std::fmt;
 
 use brepl_analysis::{
-    check_history, check_history_cached, classification_diags, classify_module, estimate_profile,
-    prediction_proof_diags, static_profile_diags, validate_replication,
-    validate_replication_cached, AnalysisDiag, Classification, DiagCode, GateCache, HistorySpec,
-    LintConfig, StaticProfile,
+    check_history_cached, classification_diags, classify_module, estimate_profile,
+    prediction_proof_diags, static_profile_diags, validate_replication_cached, AnalysisDiag,
+    Classification, DiagCode, GateCache, HistorySpec, LintConfig, StaticProfile,
 };
 use brepl_core::replicate::ReplicateError;
 use brepl_core::{
@@ -33,7 +32,10 @@ use brepl_predict::{evaluate_static, StaticPrediction};
 use brepl_sim::{Machine, Outcome, RunConfig, RunError};
 use brepl_trace::{Trace, TraceStats};
 
-use seams::Chaos;
+#[cfg(feature = "chaos")]
+use brepl_core::chaos::{ChaosEngine, ChaosPoint, Injection};
+#[cfg(feature = "chaos")]
+use brepl_core::PatchOutcome;
 
 /// Pipeline tuning knobs. Every run checks the whole gate list; these
 /// shape the plan, the verdicts and the re-measure.
@@ -76,16 +78,6 @@ pub struct PipelineConfig {
     /// the CFG-path replica, so a few machines can fail to transfer);
     /// replication is then redone with the pruned plan.
     pub refine: bool,
-    /// When true (default), reuse gate results across refinement and
-    /// quarantine rounds: the translation validator caches per function
-    /// and the history checker per site, keyed by a fingerprint of
-    /// everything each check reads (replicated function structure,
-    /// witness slice, provenance, machine table, shipped predictions), so
-    /// a round that only dropped a few sites re-proves only the functions
-    /// those sites live in. The emitted diagnostics — codes, sites,
-    /// rounds, messages, order — are identical to the from-scratch gating
-    /// `false` selects.
-    pub incremental: bool,
     /// When true, any gate failure aborts with a typed [`PipelineError`]
     /// — today's pre-quarantine behavior, for CI runs where a firing gate
     /// means a replicator bug to investigate, not a site to ship without.
@@ -109,7 +101,6 @@ impl Default for PipelineConfig {
             max_size_growth: Some(3.0),
             max_realized_growth: None,
             refine: true,
-            incremental: true,
             strict: false,
             #[cfg(feature = "chaos")]
             chaos: None,
@@ -167,9 +158,11 @@ impl From<ReplicateError> for PipelineError {
 /// Which gate removed a site from the plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QuarantineGate {
-    /// The static translation validator ([`validate_replication`]).
+    /// The static translation validator
+    /// ([`brepl_analysis::validate_replication`]).
     Validation,
-    /// The witness-independent history checker ([`check_history`]).
+    /// The witness-independent history checker
+    /// ([`brepl_analysis::check_history`]).
     History,
     /// The replication transform itself refused the site.
     Replicate,
@@ -431,9 +424,9 @@ struct Gate {
     /// Its strict-mode (and hard) error.
     error: fn(String) -> PipelineError,
     policy: Policy,
-    /// The diagnostics the gate checks; the cache is `None` when gating
-    /// from scratch.
-    check: fn(&Subject<'_>, Option<&mut GateCache>) -> Vec<AnalysisDiag>,
+    /// The diagnostics the gate checks, reusing the run's cached results
+    /// for whatever the check reads unchanged since an earlier round.
+    check: fn(&Subject<'_>, &mut GateCache) -> Vec<AnalysisDiag>,
 }
 
 /// Everything a gate may read.
@@ -495,16 +488,7 @@ const GATES: [Gate; 5] = [
         policy: Policy::EnabledSitesOrAll,
         check: |s, cache| {
             let p = s.program();
-            match cache {
-                Some(c) => validate_replication_cached(
-                    s.module,
-                    &p.module,
-                    &p.replica_map,
-                    &p.predictions,
-                    c,
-                ),
-                None => validate_replication(s.module, &p.module, &p.replica_map, &p.predictions),
-            }
+            validate_replication_cached(s.module, &p.module, &p.replica_map, &p.predictions, cache)
         },
     },
     // History (BR009–BR012): the product of the replicated CFG with each
@@ -519,10 +503,7 @@ const GATES: [Gate; 5] = [
                 s.program(),
                 s.spec.expect("round gates see the round's tables"),
             );
-            match cache {
-                Some(c) => check_history_cached(&p.module, &p.provenance, spec, &p.predictions, c),
-                None => check_history(&p.module, &p.provenance, spec, &p.predictions),
-            }
+            check_history_cached(&p.module, &p.provenance, spec, &p.predictions, cache)
         },
     },
     // Proof vs prediction (BR016): every replica *not* pinned by a
@@ -622,7 +603,7 @@ impl<'c> Ledger<'c> {
         stage: Stage,
         subject: &Subject<'_>,
         round: usize,
-        mut cache: Option<&mut GateCache>,
+        cache: &mut GateCache,
     ) -> Result<(Vec<AnalysisDiag>, bool), PipelineError> {
         // Round gates check the replicated program, so their diagnostics
         // point into it; the others point into the original.
@@ -632,7 +613,7 @@ impl<'c> Ledger<'c> {
         };
         let mut warnings = Vec::new();
         for gate in GATES.iter().filter(|g| g.stage == stage) {
-            let diags = (gate.check)(subject, cache.as_deref_mut());
+            let diags = (gate.check)(subject, cache);
             let (warns, fired) = self.judge(gate, diags, round, rendered_in)?;
             warnings.extend(warns);
             if fired {
@@ -759,16 +740,16 @@ fn drive(
         program: None,
         spec: None,
     };
-    let (plan_warnings, _) = ledger.run_stage(Stage::Plan, &planning, 0, None)?;
+    // One gate cache per run: results carry over between rounds
+    // (identical diagnostics; functions and sites untouched by a round's
+    // drops are not re-proved).
+    let mut cache = GateCache::new();
+    let (plan_warnings, _) = ledger.run_stage(Stage::Plan, &planning, 0, &mut cache)?;
 
     // 4. Replicate, gate, measure — quarantining or backing off on
     // failure. Every retry strictly shrinks (site count, or the state
-    // count of some machine), so the loop terminates. Gate results carry
-    // over between rounds through the cache (identical diagnostics;
-    // functions and sites untouched by the round's drops are not
-    // re-proved).
+    // count of some machine), so the loop terminates.
     let refine = config.refine && measured.is_some();
-    let mut cache = config.incremental.then(GateCache::new);
     let mut round = 0usize;
     let (program, report, round_warnings, remeasured) = loop {
         round += 1;
@@ -850,7 +831,7 @@ fn drive(
             spec: Some(&spec),
             ..planning
         };
-        let (warnings, fired) = ledger.run_stage(Stage::Round, &subject, round, cache.as_mut())?;
+        let (warnings, fired) = ledger.run_stage(Stage::Round, &subject, round, &mut cache)?;
         if fired {
             continue;
         }
@@ -888,7 +869,7 @@ fn drive(
         program: Some(&program),
         ..planning
     };
-    let (proof_warnings, _) = ledger.run_stage(Stage::Shipped, &shipped, round, None)?;
+    let (proof_warnings, _) = ledger.run_stage(Stage::Shipped, &shipped, round, &mut cache)?;
 
     // 6. Backstop behind the static gates: compare the profiling run of
     // the original against the final re-measure run of the shipped
@@ -1229,68 +1210,72 @@ fn refine_should_drop(realized: u64, profile_misses: u64) -> bool {
 }
 
 /// The chaos seams: before the round-0 gates, inside each round before
-/// validation and history, and around each adaptive observation.
-#[cfg(feature = "chaos")]
-mod seams {
-    use super::*;
-    use brepl_core::chaos::{ChaosEngine, ChaosPoint, Injection};
-    use brepl_core::PatchOutcome;
+/// validation and history, and around each adaptive observation. Without
+/// the `chaos` feature there is no engine, and every seam is a no-op.
+#[derive(Default)]
+struct Chaos {
+    /// The run's armed engine, if any.
+    #[cfg(feature = "chaos")]
+    engine: Option<ChaosEngine>,
+    /// Sites the adaptive layer may patch (set by `arm`).
+    #[cfg(feature = "chaos")]
+    patchable: Vec<BranchId>,
+}
 
-    /// The run's armed chaos engine, if any.
-    pub(super) struct Chaos {
-        engine: Option<ChaosEngine>,
-        /// Sites the adaptive layer may patch (set by `arm`).
-        patchable: Vec<BranchId>,
+#[cfg_attr(not(feature = "chaos"), allow(unused_variables))]
+impl Chaos {
+    fn new(config: &PipelineConfig) -> Self {
+        Chaos {
+            #[cfg(feature = "chaos")]
+            engine: config.chaos.map(ChaosEngine::new),
+            #[cfg(feature = "chaos")]
+            patchable: Vec::new(),
+        }
     }
 
-    impl Chaos {
-        pub(super) fn new(config: &PipelineConfig) -> Self {
-            Chaos {
-                engine: config.chaos.map(ChaosEngine::new),
-                patchable: Vec::new(),
-            }
+    /// Splits an adaptive run's configuration: `inject-drift` and
+    /// `corrupt-patch` attack the adaptive layer, so they are held back
+    /// from the planning run — the plan must stay honest for the attack
+    /// to even be visible.
+    fn adaptive(config: PipelineConfig) -> (PipelineConfig, Self) {
+        #[cfg(feature = "chaos")]
+        if config
+            .chaos
+            .is_some_and(|c| matches!(c.point, ChaosPoint::InjectDrift | ChaosPoint::CorruptPatch))
+        {
+            return (
+                PipelineConfig {
+                    chaos: None,
+                    ..config
+                },
+                Chaos::new(&config),
+            );
         }
+        (config, Chaos::default())
+    }
 
-        /// Splits an adaptive run's configuration: `inject-drift` and
-        /// `corrupt-patch` attack the adaptive layer, so they are held
-        /// back from the planning run — the plan must stay honest for the
-        /// attack to even be visible.
-        pub(super) fn adaptive(mut config: PipelineConfig) -> (PipelineConfig, Self) {
-            let held = config
-                .chaos
-                .filter(|c| matches!(c.point, ChaosPoint::InjectDrift | ChaosPoint::CorruptPatch));
-            if held.is_some() {
-                config.chaos = None;
-            }
-            let engine = held.map(ChaosEngine::new);
-            let patchable = Vec::new();
-            (config, Chaos { engine, patchable })
-        }
-
-        /// Before the round-0 gates. ForgeTraceEvent fires first, before
-        /// the victim is pinned from the enabled set: it flips one event
-        /// at a proved-monostatic site (pinning that site as the victim),
-        /// so the classification gate must catch the contradiction —
-        /// BR013 — while the witness and history gates stay blind (the
-        /// forged trace never steers replication). ForgeStaticProfile
-        /// also fires before victim pinning: it perturbs one exact
-        /// estimate in the profile the drift gate judges — BR019 must
-        /// catch it while BR001–BR018 stay blind. TruncateTrace fires
-        /// last, against the profiling trace: the data is then
-        /// untrustworthy for replication, so the baseline ships.
-        ///
-        /// Returns the forged trace's counts, for the plan gates to judge.
-        pub(super) fn before_plan(
-            &mut self,
-            trace: &Trace,
-            cls: &Classification,
-            profile: &mut StaticProfile,
-            stats: &TraceStats,
-            ledger: &mut Ledger<'_>,
-        ) -> Result<Option<TraceStats>, PipelineError> {
-            let Some(eng) = &mut self.engine else {
-                return Ok(None);
-            };
+    /// Before the round-0 gates. ForgeTraceEvent fires first, before the
+    /// victim is pinned from the enabled set: it flips one event at a
+    /// proved-monostatic site (pinning that site as the victim), so the
+    /// classification gate must catch the contradiction — BR013 — while
+    /// the witness and history gates stay blind (the forged trace never
+    /// steers replication). ForgeStaticProfile also fires before victim
+    /// pinning: it perturbs one exact estimate in the profile the drift
+    /// gate judges — BR019 must catch it while BR001–BR018 stay blind.
+    /// TruncateTrace fires last, against the profiling trace: the data is
+    /// then untrustworthy for replication, so the baseline ships.
+    ///
+    /// Returns the forged trace's counts, for the plan gates to judge.
+    fn before_plan(
+        &mut self,
+        trace: &Trace,
+        cls: &Classification,
+        profile: &mut StaticProfile,
+        stats: &TraceStats,
+        ledger: &mut Ledger<'_>,
+    ) -> Result<Option<TraceStats>, PipelineError> {
+        #[cfg(feature = "chaos")]
+        if let Some(eng) = &mut self.engine {
             let forged = eng
                 .forge_trace(trace, &cls.proved_sites())
                 .map(|t| t.stats());
@@ -1306,55 +1291,50 @@ mod seams {
                 let reason = format!("profiling trace truncated mid-event: {err:?}");
                 ledger.condemn_all(QuarantineGate::Profile, &[], &reason, 0);
             }
-            Ok(forged)
+            return Ok(forged);
         }
+        Ok(None)
+    }
 
-        /// Inside a round, before validation and history: corrupts the
-        /// replicated artifacts while the victim is still planned (the
-        /// engine fires at most once per run).
-        pub(super) fn in_round(
-            &mut self,
-            module: &Module,
-            program: &mut ReplicatedProgram,
-            spec: &mut HistorySpec,
-            enabled: &BTreeSet<BranchId>,
-        ) {
-            if let Some(eng) = &mut self.engine {
-                if eng.victim().is_some_and(|v| enabled.contains(&v)) {
-                    eng.corrupt_program(module, program);
-                    eng.corrupt_spec(program, spec);
-                }
+    /// Inside a round, before validation and history: corrupts the
+    /// replicated artifacts while the victim is still planned (the engine
+    /// fires at most once per run).
+    fn in_round(
+        &mut self,
+        module: &Module,
+        program: &mut ReplicatedProgram,
+        spec: &mut HistorySpec,
+        enabled: &BTreeSet<BranchId>,
+    ) {
+        #[cfg(feature = "chaos")]
+        if let Some(eng) = &mut self.engine {
+            if eng.victim().is_some_and(|v| enabled.contains(&v)) {
+                eng.corrupt_program(module, program);
+                eng.corrupt_spec(program, spec);
             }
         }
+    }
 
-        /// Records the sites the patcher may patch: executed while
-        /// planning and not statically proved.
-        pub(super) fn arm(
-            &mut self,
-            module: &Module,
-            stats: &TraceStats,
-            proved: &[(BranchId, bool)],
-        ) {
+    /// Records the sites the patcher may patch: executed while planning
+    /// and not statically proved.
+    fn arm(&mut self, module: &Module, stats: &TraceStats, proved: &[(BranchId, bool)]) {
+        #[cfg(feature = "chaos")]
+        {
             self.patchable = (0..module.branch_count())
                 .map(BranchId::from_index)
                 .filter(|&s| stats.site(s).total() > 0 && !proved.iter().any(|&(p, _)| p == s))
                 .collect();
         }
+    }
 
-        /// Feeds segment `k` to the patcher. InjectDrift forges the
-        /// patcher's view of a post-planning segment (the measurement
-        /// already captured the honest slice, and the execution itself is
-        /// never touched); CorruptPatch then flips a patch the gate just
-        /// accepted — the verification window is the only defense left.
-        pub(super) fn observe(
-            &mut self,
-            respec: &mut Respec<'_>,
-            k: usize,
-            slice: Trace,
-        ) -> Vec<PatchRecord> {
-            let Some(eng) = &mut self.engine else {
-                return respec.observe(k, &slice);
-            };
+    /// Feeds segment `k` to the patcher. InjectDrift forges the patcher's
+    /// view of a post-planning segment (the measurement already captured
+    /// the honest slice, and the execution itself is never touched);
+    /// CorruptPatch then flips a patch the gate just accepted — the
+    /// verification window is the only defense left.
+    fn observe(&mut self, respec: &mut Respec<'_>, k: usize, slice: Trace) -> Vec<PatchRecord> {
+        #[cfg(feature = "chaos")]
+        if let Some(eng) = &mut self.engine {
             let slice = match k {
                 0 => slice,
                 _ => eng
@@ -1368,61 +1348,14 @@ mod seams {
             {
                 eng.corrupt_patch(respec.program_mut(), r.site);
             }
-            patches
+            return patches;
         }
-
-        pub(super) fn into_injection(self) -> Option<Injection> {
-            self.engine.and_then(ChaosEngine::into_injection)
-        }
+        respec.observe(k, &slice)
     }
-}
 
-/// Without the `chaos` feature there is no engine: every seam is a no-op.
-#[cfg(not(feature = "chaos"))]
-mod seams {
-    use super::*;
-
-    pub(super) struct Chaos;
-
-    impl Chaos {
-        pub(super) fn new(_: &PipelineConfig) -> Self {
-            Chaos
-        }
-
-        pub(super) fn adaptive(config: PipelineConfig) -> (PipelineConfig, Self) {
-            (config, Chaos)
-        }
-
-        pub(super) fn before_plan(
-            &mut self,
-            _: &Trace,
-            _: &Classification,
-            _: &mut StaticProfile,
-            _: &TraceStats,
-            _: &mut Ledger<'_>,
-        ) -> Result<Option<TraceStats>, PipelineError> {
-            Ok(None)
-        }
-
-        pub(super) fn in_round(
-            &mut self,
-            _: &Module,
-            _: &mut ReplicatedProgram,
-            _: &mut HistorySpec,
-            _: &BTreeSet<BranchId>,
-        ) {
-        }
-
-        pub(super) fn arm(&mut self, _: &Module, _: &TraceStats, _: &[(BranchId, bool)]) {}
-
-        pub(super) fn observe(
-            &mut self,
-            respec: &mut Respec<'_>,
-            k: usize,
-            slice: Trace,
-        ) -> Vec<PatchRecord> {
-            respec.observe(k, &slice)
-        }
+    #[cfg(feature = "chaos")]
+    fn into_injection(self) -> Option<Injection> {
+        self.engine.and_then(ChaosEngine::into_injection)
     }
 }
 

@@ -109,25 +109,28 @@ fn every_point_quarantines_and_revalidates_on_every_workload() {
 /// never a silently shipped program.
 #[test]
 fn every_point_hard_fails_in_strict_mode() {
-    // One representative workload keeps this cheap; the `chaos` bench bin
-    // covers the full workload × point matrix in both modes.
-    let w = brepl::workloads::workload_by_name("compress", Scale::Small).unwrap();
-    for point in ChaosPoint::ALL {
-        match run_with_point(&w, point, true) {
-            Err((_, e)) => {
-                let typed = matches!(
-                    e,
-                    PipelineError::Validation(_)
-                        | PipelineError::History(_)
-                        | PipelineError::Trace(_)
-                        | PipelineError::Replicate(_)
-                );
-                assert!(typed, "{point}: strict failure has the wrong type: {e}");
+    for w in all_workloads(Scale::Small) {
+        for point in ChaosPoint::ALL {
+            match run_with_point(&w, point, true) {
+                Err((seed, e)) => {
+                    let typed = matches!(
+                        e,
+                        PipelineError::Validation(_)
+                            | PipelineError::History(_)
+                            | PipelineError::Trace(_)
+                            | PipelineError::Replicate(_)
+                    );
+                    assert!(
+                        typed,
+                        "{} / {point} (seed {seed}): strict failure has the wrong type: {e}",
+                        w.name
+                    );
+                }
+                Ok((seed, result)) => panic!(
+                    "{} / {point} (seed {seed}): strict mode returned Ok with injection {:?}",
+                    w.name, result.chaos_injection
+                ),
             }
-            Ok((seed, result)) => panic!(
-                "{point} (seed {seed}): strict mode returned Ok with injection {:?}",
-                result.chaos_injection
-            ),
         }
     }
 }
@@ -282,55 +285,52 @@ fn forged_static_profile_fires_br019_while_br001_to_br018_stay_blind() {
     }
 }
 
-/// Incremental gate re-proving is invisible: across the full workload ×
-/// chaos-point matrix, a pipeline run with the round-to-round gate cache
-/// (the default) and a from-scratch run (`incremental: false`) must agree
-/// on every observable — quarantine records (sites, gates, codes, rounds,
-/// reasons), the replicated-site set, and the shipped program bit for
-/// bit. Chaos faults are the hard case: quarantine drops change exactly
-/// one function between rounds, so the cache replays every other
-/// function's diagnostics while the dropped one re-proves.
+/// The gate cache stays invisible on corrupted rounds: for each point
+/// that fires inside a round, the full plan's round-1 program (or its
+/// machine tables) is corrupted as the pipeline's chaos seam corrupts it,
+/// and round 2 drops the victim. Both rounds must get exactly the
+/// from-scratch diagnostics of the reference translation validator and
+/// history checker, through one cache shared across the rounds.
 #[test]
-fn incremental_reproving_matches_from_scratch_across_chaos_matrix() {
+fn gate_cache_matches_reference_on_corrupted_rounds() {
+    use brepl::core::chaos::ChaosEngine;
+    use brepl_analysis::GateCache;
+
+    let in_round = [
+        ChaosPoint::CorruptMachineTable,
+        ChaosPoint::RetargetReplicaEdge,
+        ChaosPoint::DropWitnessChain,
+        ChaosPoint::FlipPinnedPrediction,
+    ];
+    let mut hits = 0;
     for w in all_workloads(Scale::Small) {
-        for point in ChaosPoint::ALL {
-            for seed in 0..8u64 {
-                let config_at = |incremental: bool| PipelineConfig {
-                    incremental,
-                    chaos: Some(ChaosConfig { seed, point }),
-                    ..PipelineConfig::default()
+        let (stats, selection, sites) = common::full_plan(&w);
+        for point in in_round {
+            let fired = (0..8u64).any(|seed| {
+                let ctx = format!("{} / {point} (seed {seed})", w.name);
+                let (mut program, mut spec) =
+                    common::replicate_round(&w.module, &stats, &selection, &sites);
+                let mut engine = ChaosEngine::new(ChaosConfig { seed, point });
+                engine.pin_victim(&sites);
+                engine.corrupt_program(&w.module, &mut program);
+                engine.corrupt_spec(&program, &mut spec);
+                let Some(victim) = engine.injection().map(|i| i.victim) else {
+                    return false;
                 };
-                let cached = run_pipeline(&w.module, &w.args, &w.input, config_at(true));
-                let scratch = run_pipeline(&w.module, &w.args, &w.input, config_at(false));
-                match (cached, scratch) {
-                    (Ok(a), Ok(b)) => {
-                        let ctx = format!("{} / {point} (seed {seed})", w.name);
-                        assert_eq!(a.quarantined, b.quarantined, "{ctx}: quarantine records");
-                        assert_eq!(a.replicated_sites, b.replicated_sites, "{ctx}: sites");
-                        assert_eq!(a.program.module, b.program.module, "{ctx}: module");
-                        assert_eq!(a.program.provenance, b.program.provenance, "{ctx}");
-                        assert_eq!(a.program.predictions, b.program.predictions, "{ctx}");
-                        assert_eq!(
-                            a.replicated_misprediction_percent, b.replicated_misprediction_percent,
-                            "{ctx}"
-                        );
-                        let fired = a.chaos_injection.is_some();
-                        if fired {
-                            // One firing seed per cell is enough coverage.
-                            break;
-                        }
-                    }
-                    (a, b) => panic!(
-                        "{} / {point} (seed {seed}): cached and scratch runs must both \
-                         succeed in default mode: {:?} vs {:?}",
-                        w.name,
-                        a.err().map(|e| e.to_string()),
-                        b.err().map(|e| e.to_string()),
-                    ),
-                }
-            }
+                let mut cache = GateCache::new();
+                let ctx1 = format!("{ctx} round 1");
+                common::assert_cached_gates_match(&w.module, &program, &spec, &mut cache, &ctx1);
+                let rest: Vec<_> = sites.iter().copied().filter(|&s| s != victim).collect();
+                let (program, spec) = common::replicate_round(&w.module, &stats, &selection, &rest);
+                let ctx2 = format!("{ctx} round 2");
+                common::assert_cached_gates_match(&w.module, &program, &spec, &mut cache, &ctx2);
+                hits += cache.hits();
+                true
+            });
+            assert!(fired, "{} / {point}: no seed in 0..8 fired", w.name);
         }
     }
+    assert!(hits > 0, "no round reused a cached gate result");
 }
 
 /// S3: quarantine is deterministic across thread counts — serial and

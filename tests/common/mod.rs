@@ -10,9 +10,17 @@
 
 pub use brepl_workloads::synth::{random_loop_module, Gen};
 
-use brepl_ir::{FunctionBuilder, Module, Operand, Value};
+use brepl::pipeline::PipelineConfig;
+use brepl_analysis::{
+    check_history, check_history_cached, validate_replication, validate_replication_cached,
+    GateCache, HistorySpec,
+};
+use brepl_core::{apply_plan, select_strategies, ReplicatedProgram, Selection};
+use brepl_ir::{BranchId, FunctionBuilder, Module, Operand, Value};
+use brepl_trace::TraceStats;
 use brepl_workloads::kmp;
 use brepl_workloads::synth::{gate_tape, input_gate_module, GatePattern};
+use brepl_workloads::Workload;
 
 /// Three adaptive-run scenarios covering the patch kinds, by name: a
 /// swap-drift recovery, a machine demotion, and a flapping distribution
@@ -90,4 +98,54 @@ pub fn guarded_alternation_module() -> Module {
     m.push_function(b.finish());
     m.renumber_branches();
     m
+}
+
+/// The full plan of the gate-cache differential on `w`: its profiling
+/// counts, its selection at the pipeline's default machine size, and
+/// every site that selection replicates.
+#[allow(dead_code)]
+pub fn full_plan(w: &Workload) -> (TraceStats, Selection, Vec<BranchId>) {
+    let trace = w.run().expect("workload runs").trace;
+    let selection = select_strategies(&w.module, &trace, PipelineConfig::default().max_states);
+    let sites = selection.to_plan().assignments.keys().copied().collect();
+    (trace.stats(), selection, sites)
+}
+
+/// One replication round over `sites`, built as the pipeline driver
+/// builds it: the replicated program and the plan's machine tables.
+#[allow(dead_code)]
+pub fn replicate_round(
+    module: &Module,
+    stats: &TraceStats,
+    selection: &Selection,
+    sites: &[BranchId],
+) -> (ReplicatedProgram, HistorySpec) {
+    let plan = selection.to_plan_filtered(|s| sites.contains(&s));
+    let program = apply_plan(module, &plan, stats).expect("a sub-plan replicates");
+    (program, plan.history_spec())
+}
+
+/// Checks one round against the reference gates: the cached translation
+/// validator and history checker, sharing `cache` across rounds as the
+/// pipeline driver does, must return exactly the diagnostics of
+/// [`validate_replication`] and [`check_history`] from scratch.
+#[allow(dead_code)]
+pub fn assert_cached_gates_match(
+    module: &Module,
+    program: &ReplicatedProgram,
+    spec: &HistorySpec,
+    cache: &mut GateCache,
+    ctx: &str,
+) {
+    let p = program;
+    assert_eq!(
+        validate_replication_cached(module, &p.module, &p.replica_map, &p.predictions, cache),
+        validate_replication(module, &p.module, &p.replica_map, &p.predictions),
+        "{ctx}: validator"
+    );
+    assert_eq!(
+        check_history_cached(&p.module, &p.provenance, spec, &p.predictions, cache),
+        check_history(&p.module, &p.provenance, spec, &p.predictions),
+        "{ctx}: history checker"
+    );
 }
