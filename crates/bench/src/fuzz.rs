@@ -15,14 +15,16 @@ use brepl_analysis::{
     classification_diags, classify_module, estimate_profile, static_profile_diags, DiagCode,
     Severity,
 };
-use brepl_ir::Module;
+use brepl_ir::{Module, Value};
 use brepl_sim::{Machine, Outcome, RunConfig};
+use brepl_trace::TraceStats;
 use brepl_workloads::synth::random_loop_module;
 
 /// Pipeline oracle: the full pipeline under `config`, with every gate and
 /// the dynamic backstop armed, so success implies execution equivalence
 /// between the original and the shipped program. Quarantine may fire in
-/// default mode; a strict run that returns quarantined sites fails.
+/// default mode; a strict run that returns quarantined sites fails. Both
+/// programs then pass [`sink_differential`].
 pub fn pipeline_case(
     seed: u64,
     diamonds: usize,
@@ -36,8 +38,72 @@ pub fn pipeline_case(
         if config.strict && !result.quarantined.is_empty() {
             return Err("strict run returned quarantined sites".to_string());
         }
-        Ok(())
+        sink_differential(&m, &[], &[]).map_err(|e| format!("original: {e}"))?;
+        sink_differential(&result.program.module, &[], &[]).map_err(|e| format!("shipped: {e}"))
     })
+}
+
+/// Event-sink oracle: a run that counts its branches per site
+/// (`Machine::run_with` into a `TraceStats`) must be the run that records
+/// them — the same result, steps and output tape, and counts equal to
+/// `trace.stats()` of the recorded trace — unsegmented and segmented
+/// alike, with the segmented run's marks equal between the two sinks and
+/// its outcome equal to the plain `run()`.
+///
+/// # Errors
+///
+/// The first difference, described; a trap in any run.
+pub fn sink_differential(module: &Module, args: &[Value], input: &[Value]) -> Result<(), String> {
+    let machine = || -> Result<Machine<'_>, String> {
+        let mut m = Machine::new(module, RunConfig::default()).map_err(|e| e.to_string())?;
+        m.set_input(input.to_vec());
+        Ok(m)
+    };
+    let mut m = machine()?;
+    let recorded = m.run("main", args).map_err(|e| format!("run: {e}"))?;
+    let recorded_output = m.output().to_vec();
+    let want = recorded.trace.stats();
+    // Bounds at the tape's start, middle and past its end: the last is
+    // never reached and must be padded with the final event count.
+    let bounds = [0, input.len() / 2, input.len() + 1];
+    for bounds in [&[][..], &bounds[..]] {
+        let mut m = machine()?;
+        let counted = m
+            .run_with("main", args, bounds, TraceStats::default())
+            .map_err(|e| format!("counting run: {e}"))?;
+        if counted.result != recorded.result || counted.steps != recorded.steps {
+            return Err(format!(
+                "counting run returned {:?} in {} steps, recording run {:?} in {}",
+                counted.result, counted.steps, recorded.result, recorded.steps
+            ));
+        }
+        if m.output() != recorded_output {
+            return Err("counting run wrote a different output tape".to_string());
+        }
+        if counted.sink != want {
+            return Err("per-site counts differ from trace.stats()".to_string());
+        }
+        let mut m = machine()?;
+        let (segmented, marks) = m
+            .run_segmented("main", args, bounds)
+            .map_err(|e| format!("segmented run: {e}"))?;
+        if segmented != recorded {
+            return Err("segmented run differs from run()".to_string());
+        }
+        if marks != counted.marks {
+            return Err(format!(
+                "segment marks differ: recording {marks:?}, counting {:?}",
+                counted.marks
+            ));
+        }
+        if marks.len() != bounds.len()
+            || marks.windows(2).any(|w| w[0] > w[1])
+            || marks.last().is_some_and(|&end| end > recorded.trace.len())
+        {
+            return Err(format!("malformed marks {marks:?} for bounds {bounds:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// Classification-soundness oracle: a direction verdict contradicted by

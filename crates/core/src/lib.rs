@@ -44,8 +44,8 @@ pub use joint::{allocate_joint_states, BranchCurve, JointAllocation};
 pub use machine::{MachineState, StateMachine};
 pub use pattern::{HistPattern, ParsePatternError};
 pub use replicate::{
-    apply_plan, check_equivalence, check_equivalence_outcomes, BranchMachine, ReplicatedProgram,
-    ReplicationPlan,
+    apply_plan, check_equivalence, check_equivalence_counts, check_equivalence_outcomes,
+    BranchMachine, ReplicatedProgram, ReplicationPlan, RunCounts,
 };
 pub use respec::{PatchKind, PatchOutcome, PatchRecord, Respec, RespecConfig};
 pub use select::{

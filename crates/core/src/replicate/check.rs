@@ -9,9 +9,9 @@
 
 use std::fmt;
 
-use brepl_ir::{Module, Value};
-use brepl_sim::{Machine, Outcome, RunConfig, RunError};
-use brepl_trace::Trace;
+use brepl_ir::{BranchId, Module, Value};
+use brepl_sim::{Machine, Outcome, Run, RunConfig, RunError};
+use brepl_trace::{SiteCounts, TraceStats};
 
 use super::ReplicatedProgram;
 
@@ -90,13 +90,43 @@ pub fn check_equivalence(
     check_equivalence_outcomes(replicated, &a, &a_out, &b, &b_out)
 }
 
+/// What the backstop compares of one run: its result, step count,
+/// per-site branch counts and output tape. A run that only counted its
+/// branches ([`brepl_sim::Machine::run_with`] into a [`TraceStats`])
+/// carries everything needed; no trace is read.
+#[derive(Clone, Copy, Debug)]
+pub struct RunCounts<'a> {
+    /// The entry function's return value.
+    pub result: Option<Value>,
+    /// Instructions executed.
+    pub steps: u64,
+    /// Per-site taken/not-taken counts of the run's branches.
+    pub counts: &'a TraceStats,
+    /// The values the run wrote with `out()`.
+    pub output: &'a [Value],
+}
+
+impl<'a> RunCounts<'a> {
+    /// The observables of `run`, given its per-site `counts` (its own
+    /// sink for a counting run) and its output tape.
+    pub fn of<S>(run: &Run<S>, counts: &'a TraceStats, output: &'a [Value]) -> Self {
+        RunCounts {
+            result: run.result,
+            steps: run.steps,
+            counts,
+            output,
+        }
+    }
+}
+
 /// [`check_equivalence`] on already-measured runs.
 ///
 /// Callers that have just executed both programs (the pipeline profiles
 /// the original and re-measures every replicated candidate anyway) pass
 /// the outcomes and output tapes here instead of paying two more
 /// full-length simulations — execution is deterministic, so the verdict
-/// is identical either way.
+/// is identical either way. The traces are read only for their per-site
+/// counts; this is [`check_equivalence_counts`] on `trace.stats()`.
 ///
 /// # Errors
 ///
@@ -109,13 +139,45 @@ pub fn check_equivalence_outcomes(
     replicated_output: &[Value],
 ) -> Result<(), EquivalenceError> {
     let (a, b) = (original_outcome, replicated_outcome);
+    let (a_counts, b_counts) = (a.trace.stats(), b.trace.stats());
+    check_equivalence_counts(
+        replicated,
+        RunCounts {
+            result: a.result,
+            steps: a.steps,
+            counts: &a_counts,
+            output: original_output,
+        },
+        RunCounts {
+            result: b.result,
+            steps: b.steps,
+            counts: &b_counts,
+            output: replicated_output,
+        },
+    )
+}
+
+/// The backstop's one comparison: equal results, equal output tapes, no
+/// more steps on the replicated side, and equal per-original-site
+/// taken/not-taken histograms, the replicated side folded through
+/// `provenance`.
+///
+/// # Errors
+///
+/// Returns the first [`EquivalenceError`] found, in that order.
+pub fn check_equivalence_counts(
+    replicated: &ReplicatedProgram,
+    original: RunCounts<'_>,
+    replicated_run: RunCounts<'_>,
+) -> Result<(), EquivalenceError> {
+    let (a, b) = (original, replicated_run);
     if a.result != b.result {
         return Err(EquivalenceError::ResultMismatch {
             original: a.result,
             replicated: b.result,
         });
     }
-    if original_output != replicated_output {
+    if a.output != b.output {
         return Err(EquivalenceError::OutputMismatch);
     }
     if b.steps > a.steps {
@@ -124,38 +186,41 @@ pub fn check_equivalence_outcomes(
             replicated: b.steps,
         });
     }
-    if !histograms_match(&a.trace, &b.trace, &replicated.provenance) {
+    if !histograms_match(a.counts, b.counts, &replicated.provenance) {
         return Err(EquivalenceError::BranchHistogramMismatch);
     }
     Ok(())
 }
 
 /// Compares per-original-site `(taken, not-taken)` histograms, the
-/// replicated side folded through `provenance`. One branch-free pass over
-/// each packed trace into dense per-site arrays — no per-event hashing.
+/// replicated side folded through `provenance` into a dense per-site
+/// table — one step per executed site, not per event.
 fn histograms_match(
-    original: &Trace,
-    replicated: &Trace,
-    provenance: &[brepl_ir::BranchId],
+    original: &TraceStats,
+    replicated: &TraceStats,
+    provenance: &[BranchId],
 ) -> bool {
-    let n_sites = original
-        .max_site()
-        .map_or(0, |s| s.index() + 1)
-        .max(provenance.iter().map(|p| p.index() + 1).max().unwrap_or(0));
-    let mut orig_hist = vec![[0u64; 2]; n_sites];
-    for &p in original.packed() {
-        orig_hist[(p >> 1) as usize][(p & 1) as usize] += 1;
-    }
-    let mut repl_hist = vec![[0u64; 2]; n_sites];
-    for &p in replicated.packed() {
-        let Some(orig) = provenance.get((p >> 1) as usize) else {
+    let n_sites = provenance.iter().map(|p| p.index() + 1).max().unwrap_or(0);
+    let mut folded = vec![SiteCounts::default(); n_sites];
+    for (site, c) in replicated.iter_executed() {
+        let Some(orig) = provenance.get(site.index()) else {
             // A replicated site outside the provenance map cannot have an
             // original counterpart; the histograms cannot match.
             return false;
         };
-        repl_hist[orig.index()][(p & 1) as usize] += 1;
+        let f = &mut folded[orig.index()];
+        f.taken += c.taken;
+        f.not_taken += c.not_taken;
     }
-    orig_hist == repl_hist
+    // Equal at every site: where the original executed, and where the
+    // folded replica did.
+    original
+        .iter_executed()
+        .all(|(site, c)| folded.get(site.index()) == Some(&c))
+        && folded
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c.total() == 0 || original.site(BranchId::from_index(i)) == *c)
 }
 
 #[cfg(test)]
@@ -185,6 +250,124 @@ mod tests {
         let mut m = Module::new();
         m.push_function(b.finish());
         m
+    }
+
+    /// A loop of `n` iterations with an inner diamond taken on even `i`:
+    /// two branch sites with different histograms (the loop head is taken
+    /// `n` times, the diamond `n / 2`).
+    fn diamond_module() -> Module {
+        let mut b = FunctionBuilder::new("main", 1);
+        let n = b.param(0);
+        let i = b.reg();
+        b.const_int(i, 0);
+        let head = b.new_block();
+        let body = b.new_block();
+        let even = b.new_block();
+        let latch = b.new_block();
+        let exit = b.new_block();
+        b.jmp(head);
+        b.switch_to(head);
+        let c = b.lt(i.into(), n.into());
+        b.br(c, body, exit);
+        b.switch_to(body);
+        let r = b.reg();
+        b.bin(brepl_ir::BinOp::And, r, i.into(), Operand::imm(1));
+        let z = b.eq(r.into(), Operand::imm(0));
+        b.br(z, even, latch);
+        b.switch_to(even);
+        b.jmp(latch);
+        b.switch_to(latch);
+        b.add(i, i.into(), Operand::imm(1));
+        b.jmp(head);
+        b.switch_to(exit);
+        b.out(i.into());
+        b.ret(Some(i.into()));
+        let mut m = Module::new();
+        m.push_function(b.finish());
+        m
+    }
+
+    /// The identity replication of `m` (an empty plan).
+    fn identity(m: &Module, args: &[Value]) -> ReplicatedProgram {
+        let trace = Machine::new(m, RunConfig::default())
+            .unwrap()
+            .run("main", args)
+            .unwrap()
+            .trace;
+        apply_plan(m, &ReplicationPlan::new(), &trace.stats()).unwrap()
+    }
+
+    /// The backstop verdict on `original` vs `program`, through both entry
+    /// points: the recorded-trace wrapper and the counts check fed by
+    /// counting runs. Asserts they agree.
+    fn verdict(
+        original: &Module,
+        program: &ReplicatedProgram,
+        args: &[Value],
+    ) -> Result<(), EquivalenceError> {
+        let recorded = |module: &Module| {
+            let mut m = Machine::new(module, RunConfig::default()).unwrap();
+            let outcome = m.run("main", args).unwrap();
+            (outcome, m.output().to_vec())
+        };
+        let counted = |module: &Module| {
+            let mut m = Machine::new(module, RunConfig::default()).unwrap();
+            let run = m
+                .run_with("main", args, &[], TraceStats::default())
+                .unwrap();
+            (run, m.output().to_vec())
+        };
+        let ((a, a_out), (b, b_out)) = (recorded(original), recorded(&program.module));
+        let via_outcomes = check_equivalence_outcomes(program, &a, &a_out, &b, &b_out);
+        let ((a, a_out), (b, b_out)) = (counted(original), counted(&program.module));
+        let via_counts = check_equivalence_counts(
+            program,
+            RunCounts::of(&a, &a.sink, &a_out),
+            RunCounts::of(&b, &b.sink, &b_out),
+        );
+        assert_eq!(via_outcomes, via_counts, "the two entry points disagree");
+        via_counts
+    }
+
+    #[test]
+    fn detects_output_mismatch() {
+        // Same result and steps, different output tape: the replicated
+        // module writes a constant where the original writes `i`.
+        let m = loop_module(1);
+        let mut program = identity(&m, &[Value::Int(10)]);
+        let fid = program.module.function_by_name("main").unwrap();
+        let exit = &mut program.module.function_mut(fid).blocks[3];
+        let Some(brepl_ir::Inst::Intrin { args, .. }) = exit.insts.last_mut() else {
+            panic!("the exit block ends with out(i)");
+        };
+        args[0] = Operand::imm(99);
+        assert_eq!(
+            verdict(&m, &program, &[Value::Int(10)]),
+            Err(EquivalenceError::OutputMismatch)
+        );
+    }
+
+    #[test]
+    fn detects_branch_histogram_mismatch() {
+        // Swapping the provenance of two sites with different histograms
+        // leaves result, output and steps untouched; only the folded
+        // per-site counts differ.
+        let m = diamond_module();
+        let args = [Value::Int(10)];
+        let mut program = identity(&m, &args);
+        assert_eq!(verdict(&m, &program, &args), Ok(()));
+        program.provenance.swap(0, 1);
+        assert_eq!(
+            verdict(&m, &program, &args),
+            Err(EquivalenceError::BranchHistogramMismatch)
+        );
+        // A replicated site with no provenance entry cannot match either.
+        let mut program = identity(&m, &args);
+        program.provenance.truncate(1);
+        assert_eq!(
+            verdict(&m, &program, &args),
+            Err(EquivalenceError::BranchHistogramMismatch)
+        );
     }
 
     #[test]

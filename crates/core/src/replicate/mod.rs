@@ -8,7 +8,10 @@ mod loop_replicate;
 mod path_replicate;
 mod simplify;
 
-pub use check::{check_equivalence, check_equivalence_outcomes, EquivalenceError};
+pub use check::{
+    check_equivalence, check_equivalence_counts, check_equivalence_outcomes, EquivalenceError,
+    RunCounts,
+};
 pub use cleanup::remove_unreachable;
 pub use loop_replicate::{replicate_loop, LoopReplicateError, LoopReplication, MAX_PRODUCT_STATES};
 pub use path_replicate::{decision_path, replicate_correlated, split_by_paths, PathSplit};

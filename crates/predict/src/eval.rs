@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use brepl_ir::BranchId;
-use brepl_trace::Trace;
+use brepl_trace::{Trace, TraceStats};
 
 use crate::report::Report;
 
@@ -99,27 +99,29 @@ impl FromIterator<(BranchId, bool)> for StaticPrediction {
     }
 }
 
-/// Scores a fixed per-site prediction against a trace.
-///
-/// Runs as a batched array pass: the per-site predictions are spread
-/// into a dense direction table once, then the packed trace is scored
-/// with one indexed compare per event — no hash lookup on the hot path.
+/// Scores a fixed per-site prediction against a trace: its per-site
+/// counts ([`Trace::stats`]) through [`evaluate_static_counts`].
 pub fn evaluate_static(prediction: &StaticPrediction, trace: &Trace) -> Report {
-    let n_sites = trace.max_site().map_or(0, |s| s.index() + 1);
-    let mut predicted: Vec<bool> = vec![prediction.default; n_sites];
-    for (site, taken) in prediction.iter() {
-        if site.index() < n_sites {
-            predicted[site.index()] = taken;
-        }
+    evaluate_static_counts(prediction, &trace.stats())
+}
+
+/// Scores a fixed per-site prediction against per-site taken/not-taken
+/// counts: a site predicted taken mispredicts its not-taken count and
+/// vice versa. A fixed prediction needs nothing else of a run, so this is
+/// the whole scorer — [`evaluate_static`] included — and a run that only
+/// counted its branches ([`brepl_trace::EventSink`]) is scored exactly
+/// like one that recorded them.
+pub fn evaluate_static_counts(prediction: &StaticPrediction, counts: &TraceStats) -> Report {
+    let mut per_site = vec![(0u64, 0u64); counts.site_count()];
+    for (site, c) in counts.iter_executed() {
+        let wrong = if prediction.get(site) {
+            c.not_taken
+        } else {
+            c.taken
+        };
+        per_site[site.index()] = (c.total(), wrong);
     }
-    let mut counts = vec![(0u64, 0u64); n_sites];
-    for &p in trace.packed() {
-        let i = (p >> 1) as usize;
-        let c = &mut counts[i];
-        c.0 += 1;
-        c.1 += u64::from((p & 1 == 1) != predicted[i]);
-    }
-    Report::from_counts(counts)
+    Report::from_counts(per_site)
 }
 
 #[cfg(test)]

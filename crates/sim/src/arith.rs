@@ -5,6 +5,7 @@ use brepl_ir::{BinOp, CmpOp, Value};
 
 use crate::error::RunError;
 
+#[inline]
 pub(crate) fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, RunError> {
     use BinOp::*;
     match (a, b) {
@@ -50,6 +51,7 @@ pub(crate) fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, RunError>
     }
 }
 
+#[inline]
 pub(crate) fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Result<bool, RunError> {
     use CmpOp::*;
     match (a, b) {

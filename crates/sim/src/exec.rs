@@ -16,11 +16,10 @@
 //! oracle the golden tests compare against.
 
 use brepl_ir::{BinOp, BranchId, CmpOp, Inst, Intrinsic, Module, Operand, Term, Value};
-use brepl_trace::{Trace, TraceEvent};
+use brepl_trace::EventSink;
 
 use crate::arith::{eval_bin, eval_cmp};
 use crate::error::RunError;
-use crate::machine::Outcome;
 
 /// Packed-operand flag: the low 31 bits index the constant pool instead
 /// of the current frame's registers.
@@ -846,8 +845,9 @@ impl ExecModule {
 }
 
 /// Mutable machine state borrowed by [`run`], split out field by field so
-/// the op arena can stay immutably borrowed alongside it.
-pub(crate) struct State<'a> {
+/// the op arena can stay immutably borrowed alongside it, plus the run's
+/// event sink.
+pub(crate) struct State<'a, S> {
     pub heap: &'a mut Vec<Value>,
     /// Logical heap size in words; the physical vector grows lazily
     /// towards it on store.
@@ -859,13 +859,16 @@ pub(crate) struct State<'a> {
     pub prng: &'a mut u64,
     /// Ascending input positions at which a new input segment begins.
     /// When the `in()` intrinsic is about to consume the element at
-    /// `seg_bounds[k]`, the current branch-trace length is recorded as
+    /// `seg_bounds[k]`, the number of branch events so far is recorded as
     /// `seg_marks[k]` — that is where drift injected at the segment
     /// boundary first becomes visible. Empty for ordinary runs; bounds
     /// never reached are left unmarked (the caller pads them).
     pub seg_bounds: &'a [usize],
-    /// Receives one trace-length mark per crossed segment bound.
+    /// Receives one event-count mark per crossed segment bound.
     pub seg_marks: &'a mut Vec<usize>,
+    /// Takes every executed conditional branch; moved into the loop, so
+    /// it lives in registers like any local, and handed back at the end.
+    pub sink: S,
 }
 
 struct Frame {
@@ -894,23 +897,26 @@ fn addr_of(v: Value, limit: usize) -> Result<usize, RunError> {
     Ok(a as usize)
 }
 
-/// Runs `funcs[fid](args)` to completion over the decoded module.
+/// Runs `funcs[fid](args)` to completion over the decoded module, feeding
+/// every conditional branch to `state.sink`; returns the result, the
+/// sink and the step count.
 ///
 /// Bit-identical to the reference tree-walk: same step accounting (one
 /// step per instruction and per terminator, checked against fuel before
-/// executing), same trace events, same error conditions in the same
+/// executing), same branch events, same error conditions in the same
 /// order. The lazily grown heap is observationally the old zero-filled
 /// one — loads beyond the physical end yield `Int(0)`, exactly what the
-/// eager fill stored there.
-pub(crate) fn run(
+/// eager fill stored there. The loop is monomorphised per sink, so a
+/// counting run pays no dispatch for not recording.
+pub(crate) fn run<S: EventSink>(
     exec: &ExecModule,
-    state: State<'_>,
+    state: State<'_, S>,
     regs: &mut Vec<Value>,
     fid: usize,
     args: &[Value],
     fuel: u64,
     max_call_depth: usize,
-) -> Result<Outcome, RunError> {
+) -> Result<(Option<Value>, S, u64), RunError> {
     let f = &exec.funcs[fid];
     if args.len() != f.n_params as usize {
         return Err(RunError::BadArgCount {
@@ -941,9 +947,9 @@ pub(crate) fn run(
         prng,
         seg_bounds,
         seg_marks,
+        mut sink,
     } = state;
 
-    let mut trace = Trace::new();
     let mut steps: u64 = 0;
 
     loop {
@@ -1058,7 +1064,7 @@ pub(crate) fn run(
                 while seg_marks.len() < seg_bounds.len()
                     && *input_pos >= seg_bounds[seg_marks.len()]
                 {
-                    seg_marks.push(trace.len());
+                    seg_marks.push(sink.events());
                 }
                 let v = if *input_pos < input.len() {
                     let v = input[*input_pos];
@@ -1111,7 +1117,7 @@ pub(crate) fn run(
                 site,
             } => {
                 let taken = rd(regs, consts, base, *cond).is_truthy();
-                trace.push(TraceEvent { site: *site, taken });
+                sink.record(*site, taken);
                 pc = if taken { *then_pc } else { *else_pc } as usize;
             }
             Op::CmpBr {
@@ -1133,7 +1139,7 @@ pub(crate) fn run(
                 if steps > fuel {
                     return Err(RunError::OutOfFuel);
                 }
-                trace.push(TraceEvent { site: *site, taken });
+                sink.record(*site, taken);
                 pc = if taken { *then_pc } else { *else_pc } as usize;
             }
             Op::Jmp { target, count } => {
@@ -1266,7 +1272,7 @@ pub(crate) fn run(
                     return Err(RunError::OutOfFuel);
                 }
                 let taken = rd(regs, consts, base, *cond).is_truthy();
-                trace.push(TraceEvent { site: *site, taken });
+                sink.record(*site, taken);
                 pc = if taken { *then_pc } else { *else_pc } as usize;
             }
             Op::LoadCmpBr {
@@ -1294,7 +1300,7 @@ pub(crate) fn run(
                 if steps > fuel {
                     return Err(RunError::OutOfFuel);
                 }
-                trace.push(TraceEvent { site: *site, taken });
+                sink.record(*site, taken);
                 pc = if taken { *then_pc } else { *else_pc } as usize;
             }
             Op::ConstConst {
@@ -1348,7 +1354,7 @@ pub(crate) fn run(
                 if steps > fuel {
                     return Err(RunError::OutOfFuel);
                 }
-                trace.push(TraceEvent { site: *site, taken });
+                sink.record(*site, taken);
                 pc = if taken { *then_pc } else { *else_pc } as usize;
             }
             Op::BinCmpBr {
@@ -1379,7 +1385,7 @@ pub(crate) fn run(
                 if steps > fuel {
                     return Err(RunError::OutOfFuel);
                 }
-                trace.push(TraceEvent { site: *site, taken });
+                sink.record(*site, taken);
                 pc = if taken { *then_pc } else { *else_pc } as usize;
             }
             Op::BinBinJmp {
@@ -1439,7 +1445,7 @@ pub(crate) fn run(
                     return Err(RunError::OutOfFuel);
                 }
                 let taken = rd(regs, consts, base, *cond).is_truthy();
-                trace.push(TraceEvent { site: *site, taken });
+                sink.record(*site, taken);
                 pc = if taken { *then_pc } else { *else_pc } as usize;
             }
             Op::LoadCmpBin {
@@ -1482,11 +1488,7 @@ pub(crate) fn run(
                 regs.truncate(finished.base as usize);
                 match frames.last() {
                     None => {
-                        return Ok(Outcome {
-                            result: v,
-                            trace,
-                            steps,
-                        });
+                        return Ok((v, sink, steps));
                     }
                     Some(caller) => {
                         base = caller.base as usize;

@@ -7,6 +7,10 @@
 //! produce new modules, the same machine also *verifies* transforms by
 //! comparing observable outputs between original and replicated programs.
 //!
+//! Each run feeds its branch events to a [`brepl_trace::EventSink`]
+//! chosen by the caller ([`Machine::run_with`]): a [`brepl_trace::Trace`]
+//! records them, a [`brepl_trace::TraceStats`] only counts them per site.
+//!
 //! The machine pre-decodes the module into a flat executable form on
 //! construction and grows its heap lazily, so repeated runs are cheap;
 //! the original tree-walking interpreter survives as
@@ -53,5 +57,5 @@ mod machine;
 mod reference;
 
 pub use error::RunError;
-pub use machine::{Machine, Outcome, RunConfig};
+pub use machine::{Machine, Outcome, Run, RunConfig};
 pub use reference::ReferenceMachine;

@@ -1,7 +1,7 @@
 //! The interpreter proper: a machine bound to a pre-decoded module.
 
 use brepl_ir::{Module, Value};
-use brepl_trace::Trace;
+use brepl_trace::{EventSink, Trace};
 
 use crate::error::RunError;
 use crate::exec::{self, ExecModule};
@@ -40,6 +40,31 @@ pub struct Outcome {
     pub trace: Trace,
     /// Instructions executed.
     pub steps: u64,
+}
+
+/// The result of a successful [`Machine::run_with`]: the run's event sink
+/// in place of a trace.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Run<S> {
+    /// The entry function's return value.
+    pub result: Option<Value>,
+    /// The sink every conditional branch of the run was fed to.
+    pub sink: S,
+    /// Instructions executed.
+    pub steps: u64,
+    /// One mark per segment bound passed to [`Machine::run_with`] (none
+    /// for an unsegmented run); see [`Machine::run_segmented`].
+    pub marks: Vec<usize>,
+}
+
+impl From<Run<Trace>> for Outcome {
+    fn from(run: Run<Trace>) -> Self {
+        Outcome {
+            result: run.result,
+            trace: run.sink,
+            steps: run.steps,
+        }
+    }
 }
 
 /// An interpreter instance bound to one module.
@@ -126,8 +151,8 @@ impl<'m> Machine<'m> {
     /// Returns a [`RunError`] on traps (division by zero, bad address,
     /// fuel/stack exhaustion, type errors) or if `entry` is unknown.
     pub fn run(&mut self, entry: &str, args: &[Value]) -> Result<Outcome, RunError> {
-        let mut marks = Vec::new();
-        self.run_inner(entry, args, &[], &mut marks)
+        self.run_with(entry, args, &[], Trace::new())
+            .map(Outcome::from)
     }
 
     /// Runs `entry(args)` like [`Machine::run`], additionally recording
@@ -153,25 +178,37 @@ impl<'m> Machine<'m> {
         args: &[Value],
         bounds: &[usize],
     ) -> Result<(Outcome, Vec<usize>), RunError> {
-        let mut marks = Vec::with_capacity(bounds.len());
-        let outcome = self.run_inner(entry, args, bounds, &mut marks)?;
-        while marks.len() < bounds.len() {
-            marks.push(outcome.trace.len());
-        }
-        Ok((outcome, marks))
+        let mut run = self.run_with(entry, args, bounds, Trace::new())?;
+        let marks = std::mem::take(&mut run.marks);
+        Ok((run.into(), marks))
     }
 
-    fn run_inner(
+    /// Runs `entry(args)` to completion, feeding every conditional branch
+    /// to `sink` in execution order: a [`Trace`] records the events, a
+    /// [`brepl_trace::TraceStats`] only counts them per site (and equals
+    /// `trace.stats()` of the recorded run). The execution — result,
+    /// steps, fuel, output — does not depend on the sink.
+    ///
+    /// `bounds` are segment bounds as in [`Machine::run_segmented`]; the
+    /// marks count the events the sink had taken, and come back in
+    /// [`Run::marks`], padded to one per bound. Pass `&[]` for an
+    /// unsegmented run.
+    ///
+    /// # Errors
+    ///
+    /// Same error conditions as [`Machine::run`].
+    pub fn run_with<S: EventSink>(
         &mut self,
         entry: &str,
         args: &[Value],
-        seg_bounds: &[usize],
-        seg_marks: &mut Vec<usize>,
-    ) -> Result<Outcome, RunError> {
+        bounds: &[usize],
+        sink: S,
+    ) -> Result<Run<S>, RunError> {
         let fid = self
             .module
             .function_by_name(entry)
             .ok_or_else(|| RunError::UnknownFunction(entry.to_string()))?;
+        let mut marks = Vec::with_capacity(bounds.len());
         let state = exec::State {
             heap: &mut self.heap,
             heap_limit: self.config.heap_words,
@@ -180,10 +217,11 @@ impl<'m> Machine<'m> {
             input_pos: &mut self.input_pos,
             output: &mut self.output,
             prng: &mut self.prng,
-            seg_bounds,
-            seg_marks,
+            seg_bounds: bounds,
+            seg_marks: &mut marks,
+            sink,
         };
-        exec::run(
+        let (result, sink, steps) = exec::run(
             &self.exec,
             state,
             &mut self.regs,
@@ -191,7 +229,14 @@ impl<'m> Machine<'m> {
             args,
             self.config.fuel,
             self.config.max_call_depth,
-        )
+        )?;
+        marks.resize(bounds.len(), sink.events());
+        Ok(Run {
+            result,
+            sink,
+            steps,
+            marks,
+        })
     }
 }
 

@@ -5,7 +5,8 @@
 //! trace of 5 million branches occupies about 1 MB". This crate provides the
 //! equivalent: an in-memory [`Trace`] of branch events, a compact binary
 //! serialization (zig-zag varint site deltas plus a packed direction
-//! bitstream), and per-site summary statistics.
+//! bitstream), and per-site summary statistics. Both are [`EventSink`]s:
+//! a run can record its events or only count them per site.
 //!
 //! ```
 //! use brepl_trace::{Trace, TraceEvent};
@@ -27,11 +28,13 @@
 
 mod codec;
 mod packed;
+mod sink;
 mod stats;
 mod trace;
 mod window;
 
 pub use packed::{packed_site_streams, PackedStream};
+pub use sink::EventSink;
 pub use stats::{SiteCounts, TraceStats};
 pub use trace::{Trace, TraceDecodeError, TraceError, TraceEvent};
 pub use window::{windowed_counts, WindowedCounts};

@@ -70,6 +70,28 @@ impl TraceStats {
         TraceStats { counts, total }
     }
 
+    /// Counts one event, growing the per-site table to `site + 1` when
+    /// the site is new — so counting a run event by event yields exactly
+    /// [`TraceStats::from_trace`] of its recorded trace.
+    #[inline]
+    pub(crate) fn count(&mut self, site: BranchId, taken: bool) {
+        let i = site.index();
+        if i >= self.counts.len() {
+            self.grow(i + 1);
+        }
+        let c = &mut self.counts[i];
+        let taken = u64::from(taken);
+        c.taken += taken;
+        c.not_taken += 1 - taken;
+        self.total += 1;
+    }
+
+    /// Out of line: a run meets each new high site once.
+    #[cold]
+    fn grow(&mut self, n_sites: usize) {
+        self.counts.resize(n_sites, SiteCounts::default());
+    }
+
     /// Total number of events in the trace.
     pub fn total_events(&self) -> u64 {
         self.total
@@ -78,6 +100,12 @@ impl TraceStats {
     /// Counts for one site (zero counts for sites never executed).
     pub fn site(&self, site: BranchId) -> SiteCounts {
         self.counts.get(site.index()).copied().unwrap_or_default()
+    }
+
+    /// Length of the per-site table: one past the highest site counted
+    /// (`0` when nothing was).
+    pub fn site_count(&self) -> usize {
+        self.counts.len()
     }
 
     /// Number of *distinct* sites that executed at least once — the paper's

@@ -24,13 +24,13 @@ use brepl_analysis::{
 };
 use brepl_core::replicate::ReplicateError;
 use brepl_core::{
-    apply_plan, check_equivalence_outcomes, select_strategies_classified, synthesize_profile_trace,
-    BranchMachine, PatchRecord, ReplicatedProgram, Respec, Selection,
+    apply_plan, check_equivalence_counts, select_strategies_classified, synthesize_profile_trace,
+    BranchMachine, PatchRecord, ReplicatedProgram, Respec, RunCounts, Selection,
 };
 use brepl_ir::{BranchId, Module, Value};
-use brepl_predict::{evaluate_static, StaticPrediction};
-use brepl_sim::{Machine, Outcome, RunConfig, RunError};
-use brepl_trace::{Trace, TraceStats};
+use brepl_predict::{evaluate_static_counts, StaticPrediction};
+use brepl_sim::{Machine, Run, RunConfig, RunError};
+use brepl_trace::{EventSink, Trace, TraceStats};
 
 #[cfg(feature = "chaos")]
 use brepl_core::chaos::{ChaosEngine, ChaosPoint, Injection};
@@ -51,11 +51,13 @@ pub struct PipelineConfig {
     pub lint: LintConfig,
     /// When true (default), additionally compare the original's profiling
     /// run against the shipped program's re-measure run — results, output
-    /// tapes, step counts and per-site branch histograms — a single
-    /// dynamic backstop behind the static validator, which covers every
-    /// round. Both runs happen anyway (and under [`Self::run`], the same
-    /// configuration), so the backstop costs two histogram passes, not
-    /// two extra simulations.
+    /// tapes, step counts and per-original-site branch histograms — a
+    /// single dynamic backstop behind the static validator, which covers
+    /// every round. Both runs happen anyway (and under [`Self::run`], the
+    /// same configuration), so the backstop costs no extra simulation:
+    /// the profiling run's per-site counts are the planner's, and the
+    /// re-measure run only counts its branches per site instead of
+    /// recording a trace ([`brepl_core::check_equivalence_counts`]).
     pub dynamic_backstop: bool,
     /// Estimated code-size budget (growth factor). Branches are enabled in
     /// greedy benefit-per-size order until the estimate exceeds the budget
@@ -331,8 +333,8 @@ pub fn run_pipeline(
     input: &[Value],
     config: PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
-    let (outcome, output) = run_once(module, args, input, config.run)?;
-    let source = PlanSource::Measured(&outcome, &output);
+    let (profile, output) = run_once(module, args, input, config.run, Trace::new())?;
+    let source = PlanSource::Measured(&profile, &output);
     drive(module, args, input, source, config).map(|(result, _)| result)
 }
 
@@ -376,9 +378,9 @@ pub fn run_pipeline_static(
 #[derive(Clone, Copy)]
 enum PlanSource<'a> {
     /// A profiling run of the original module on the run's own inputs
-    /// (outcome and output tape), which the dynamic backstop holds the
-    /// shipped program to.
-    Measured(&'a Outcome, &'a [Value]),
+    /// (the recorded run and its output tape), which the dynamic backstop
+    /// holds the shipped program to.
+    Measured(&'a Run<Trace>, &'a [Value]),
     /// The trace synthesized from the static profile: no profiling run,
     /// so no refinement and no dynamic backstop.
     Static,
@@ -693,7 +695,7 @@ fn drive(
     let mut static_profile = estimate_profile(module, &cls);
     let synthetic;
     let (trace, measured) = match source {
-        PlanSource::Measured(outcome, output) => (&outcome.trace, Some((outcome, output))),
+        PlanSource::Measured(profile, output) => (&profile.sink, Some((profile, output))),
         PlanSource::Static => {
             synthetic = synthesize_profile_trace(&static_profile);
             (&synthetic, None)
@@ -835,10 +837,18 @@ fn drive(
         if fired {
             continue;
         }
-        let (outcome2, output2) = run_once(&program.module, args, input, config.run)?;
-        let report = evaluate_static(&program.predictions, &outcome2.trace);
+        // The re-measure is read only per site — the score, the fold and
+        // the backstop's histograms — so it counts instead of recording.
+        let (counted, output2) = run_once(
+            &program.module,
+            args,
+            input,
+            config.run,
+            TraceStats::default(),
+        )?;
+        let report = evaluate_static_counts(&program.predictions, &counted.sink);
         if !refine {
-            break (program, report, warnings, (outcome2, output2));
+            break (program, report, warnings, (counted, output2));
         }
         // Fold replicated-site mispredictions back to original sites.
         let mut folded: HashMap<BranchId, u64> = HashMap::new();
@@ -856,7 +866,7 @@ fn drive(
             .map(|c| c.site)
             .collect();
         if drops.is_empty() {
-            break (program, report, warnings, (outcome2, output2));
+            break (program, report, warnings, (counted, output2));
         }
         for site in drops {
             ledger.enabled.remove(&site);
@@ -873,12 +883,16 @@ fn drive(
 
     // 6. Backstop behind the static gates: compare the profiling run of
     // the original against the final re-measure run of the shipped
-    // program — both already executed, so the check costs two dense
-    // histogram passes, not two more full-length simulations.
-    if let (Some((outcome, output)), true) = (measured, config.dynamic_backstop) {
-        let (outcome2, output2) = &remeasured;
-        check_equivalence_outcomes(&program, outcome, output, outcome2, output2)
-            .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
+    // program — both already executed and both already counted per site,
+    // so the check walks two per-site tables, not two traces.
+    if let (Some((profile, output)), true) = (measured, config.dynamic_backstop) {
+        let (counted, output2) = &remeasured;
+        check_equivalence_counts(
+            &program,
+            RunCounts::of(profile, &stats, output),
+            RunCounts::of(counted, &counted.sink, output2),
+        )
+        .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
     }
 
     let mut warnings = round_warnings;
@@ -1020,8 +1034,8 @@ pub fn run_pipeline_adaptive(
     );
     let run = config.pipeline.run;
     // 1. Plan on the first segment, exactly like the plain pipeline.
-    let (profile, profile_output) = run_once(module, args, &segments[0], run)?;
-    let plan_stats = profile.trace.stats();
+    let (profile, profile_output) = run_once(module, args, &segments[0], run, Trace::new())?;
+    let plan_stats = profile.sink.stats();
     let (plan_config, mut chaos) = Chaos::adaptive(config.pipeline);
     let source = PlanSource::Measured(&profile, &profile_output);
     let (plan, cls) = drive(module, args, &segments[0], source, plan_config)?;
@@ -1042,7 +1056,8 @@ pub fn run_pipeline_adaptive(
     )?;
 
     // 4. Reference run: the *original* module over the full tape — the
-    // dynamic-equivalence baseline every segment run is held to.
+    // dynamic-equivalence baseline every segment run is held to. The
+    // backstop reads it only per site, so it counts instead of recording.
     let input: Vec<Value> = segments.iter().flatten().cloned().collect();
     let bounds: Vec<usize> = segments
         .iter()
@@ -1051,7 +1066,7 @@ pub fn run_pipeline_adaptive(
             Some(*acc)
         })
         .collect();
-    let (ref_outcome, ref_output) = run_once(module, args, &input, run)?;
+    let (reference, ref_output) = run_once(module, args, &input, run, TraceStats::default())?;
 
     // 5. Observe segment by segment: run the current program, slice out
     // segment k's events, measure, feed the patcher. Execution is
@@ -1059,7 +1074,7 @@ pub fn run_pipeline_adaptive(
     // last run stands until a commit, a rollback or a chaos edit changes
     // the module; everything derived from it is still per segment.
     let mut measures = Vec::with_capacity(segments.len());
-    let mut last: Option<(Module, Outcome, Vec<usize>, Vec<Value>)> = None;
+    let mut last: Option<(Module, Run<Trace>, TraceStats, Vec<Value>)> = None;
     let mut segment_runs = 0;
     for k in 0..segments.len() {
         if last
@@ -1071,38 +1086,32 @@ pub fn run_pipeline_adaptive(
             let module = respec.program().module.clone();
             let mut m2 = Machine::new(&module, run)?;
             m2.set_input(input.clone());
-            let (outcome, marks) = m2.run_segmented("main", args, &bounds)?;
+            let ran = m2.run_with("main", args, &bounds, Trace::new())?;
+            let counts = ran.sink.stats();
             let output = m2.output().to_vec();
             segment_runs += 1;
-            last = Some((module, outcome, marks, output));
+            last = Some((module, ran, counts, output));
         }
-        let (_, outcome2, marks, output2) = last.as_ref().expect("a run is cached");
+        let (_, ran, counts, output2) = last.as_ref().expect("a run is cached");
         if config.pipeline.dynamic_backstop {
-            check_equivalence_outcomes(
+            check_equivalence_counts(
                 respec.program(),
-                &ref_outcome,
-                &ref_output,
-                outcome2,
-                output2,
+                RunCounts::of(&reference, &reference.sink, &ref_output),
+                RunCounts::of(ran, counts, output2),
             )
             .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
         }
-        let start = if k == 0 { 0 } else { marks[k - 1] };
+        let start = if k == 0 { 0 } else { ran.marks[k - 1] };
         // Events after the tape is exhausted (drain loops, epilogues)
         // belong to the last segment.
         let end = if k + 1 == segments.len() {
-            outcome2.trace.len()
+            ran.sink.len()
         } else {
-            marks[k]
+            ran.marks[k]
         };
-        let mut slice = Trace::with_capacity(end - start);
-        let mut misses = 0u64;
-        for ev in outcome2.trace.iter().skip(start).take(end - start) {
-            if respec.program().predictions.get(ev.site) != ev.taken {
-                misses += 1;
-            }
-            slice.push(ev);
-        }
+        let slice = ran.sink.slice(start..end);
+        let misses =
+            evaluate_static_counts(&respec.program().predictions, &slice.stats()).mispredictions();
         let events = slice.len() as u64;
         let pct = if events == 0 {
             0.0
@@ -1149,18 +1158,19 @@ pub fn run_pipeline_adaptive(
     })
 }
 
-/// Runs `main` of `module` once on `args`/`input`, returning the outcome
-/// and the output tape.
-fn run_once(
+/// Runs `main` of `module` once on `args`/`input` into `sink`, returning
+/// the run and the output tape.
+fn run_once<S: EventSink>(
     module: &Module,
     args: &[Value],
     input: &[Value],
     run: RunConfig,
-) -> Result<(Outcome, Vec<Value>), PipelineError> {
+    sink: S,
+) -> Result<(Run<S>, Vec<Value>), PipelineError> {
     let mut machine = Machine::new(module, run)?;
     machine.set_input(input.to_vec());
-    let outcome = machine.run("main", args)?;
-    Ok((outcome, machine.output().to_vec()))
+    let ran = machine.run_with("main", args, &[], sink)?;
+    Ok((ran, machine.output().to_vec()))
 }
 
 /// State count of a planned machine.
@@ -1363,6 +1373,7 @@ impl Chaos {
 mod tests {
     use super::*;
     use brepl_ir::{FunctionBuilder, Operand};
+    use brepl_predict::evaluate_static;
 
     fn alternating_module() -> Module {
         let mut b = FunctionBuilder::new("main", 0);
