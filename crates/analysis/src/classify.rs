@@ -72,22 +72,6 @@ impl DirectionClass {
             _ => None,
         }
     }
-
-    /// The proved taken-rate band `(lo, hi)` as floats, when any bound
-    /// is known (`(d, d)` for monostatic, `(r, r)` for exact bias).
-    pub fn rate_band(&self) -> Option<(f64, f64)> {
-        match self {
-            DirectionClass::ProvedMonostatic(d) => {
-                let r = if *d { 1.0 } else { 0.0 };
-                Some((r, r))
-            }
-            DirectionClass::BoundedBias { num, den } => {
-                let r = *num as f64 / *den as f64;
-                Some((r, r))
-            }
-            DirectionClass::ProfileDependent => None,
-        }
-    }
 }
 
 impl std::fmt::Display for DirectionClass {

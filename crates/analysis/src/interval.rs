@@ -69,11 +69,6 @@ impl Interval {
         self.lo > self.hi
     }
 
-    /// True for the full range.
-    pub fn is_top(&self) -> bool {
-        self.lo <= NEG_INF && self.hi >= POS_INF
-    }
-
     /// The single contained value, if the interval is a singleton.
     pub fn as_constant(&self) -> Option<i64> {
         if self.lo == self.hi && self.lo >= i64::MIN as i128 && self.lo <= i64::MAX as i128 {

@@ -9,8 +9,9 @@
 //!   [`brepl_cfg::Cfg`] graphs, parameterized by direction and meet
 //!   ([`DataflowAnalysis`] for arbitrary lattices, [`GenKill`] for
 //!   bit-vector problems);
-//! * concrete analyses for the non-SSA register IR: [`liveness`],
-//!   [`reaching_defs`], [`use_before_def`] and [`reachable_blocks`];
+//! * concrete analyses for the non-SSA register IR: [`liveness`] and
+//!   [`use_before_def`] (block reachability is
+//!   [`brepl_cfg::Cfg::reachable`]);
 //! * a **translation validator** ([`validate_replication`]) that checks a
 //!   simulation relation between an original module and its replicated
 //!   form, using the [`ReplicaMap`] witness the replicator emits;
@@ -58,8 +59,6 @@ mod interval;
 mod lint;
 mod liveness;
 mod product;
-mod reach;
-mod reaching;
 mod replica_map;
 mod solver;
 mod uninit;
@@ -85,8 +84,6 @@ pub use liveness::{liveness, term_uses, Liveness};
 pub use product::{
     solve_site_product, HistorySpec, MachineTable, ProductSolution, TableState, MAX_PRODUCT_NODES,
 };
-pub use reach::{reachable_blocks, unreachable_blocks};
-pub use reaching::{reaching_defs, DefSite, ReachingDefs};
 pub use replica_map::{ReplicaFuncMap, ReplicaMap};
 pub use solver::{
     default_solve_budget, solve, solve_metered, DataflowAnalysis, DataflowSolution, Direction,

@@ -8,12 +8,11 @@ use brepl_ir::{FuncId, Function, Loc, Module};
 
 use crate::diag::{AnalysisDiag, DiagCode};
 use crate::liveness::{liveness, term_uses};
-use crate::reach::reachable_blocks;
 use crate::uninit::use_before_def;
 
 /// `BR001` for every block of `func` not reachable from its entry.
 pub fn unreachable_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
-    let reachable = reachable_blocks(func);
+    let reachable = Cfg::new(func).reachable();
     func.iter_blocks()
         .filter(|(bid, _)| !reachable[bid.index()])
         .map(|(bid, _)| {

@@ -1,7 +1,8 @@
 //! The abstract's headline claim: "the misprediction rate can almost be
 //! halved while the code size is increased by one third." Runs the full
 //! profile → select → replicate → verify → re-measure pipeline on every
-//! workload and prints before/after misprediction and size.
+//! workload and prints before/after misprediction and size. Exits 1 if
+//! any workload's pipeline fails.
 
 use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl_bench::scale_from_env;
@@ -19,6 +20,7 @@ fn main() {
     let mut replicated_sum = 0.0;
     let mut size_sum = 0.0;
     let mut count = 0usize;
+    let mut failed = false;
 
     // Whole pipelines fan out over the engine's workers; results come
     // back in workload order, bit-identical to a serial loop.
@@ -44,7 +46,10 @@ fn main() {
                 size_sum += r.size_growth;
                 count += 1;
             }
-            Err(e) => println!("{:<12} FAILED: {e}", w.name),
+            Err(e) => {
+                println!("{:<12} FAILED: {e}", w.name);
+                failed = true;
+            }
         }
     }
 
@@ -65,5 +70,8 @@ fn main() {
             100.0 * (profile_sum - replicated_sum) / profile_sum.max(1e-9),
             size_sum / n
         );
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -3,9 +3,10 @@
 
 use brepl_analysis::classify_module;
 use brepl_bench::{print_header, print_row, print_row_counts, profile_suite, scale_from_env};
-use brepl_predict::semistatic::combine_best;
+use brepl_predict::dynamic::{LastDirection, TwoBitCounters, TwoLevel};
+use brepl_predict::semistatic::{combine_best, profile_report_from_stats};
 use brepl_predict::stat::proof_guided::ProofGuided;
-use brepl_predict::{evaluate_static, FusedAnalytics};
+use brepl_predict::{evaluate_static, simulate_dynamic, HistoryKind, PatternTableSet};
 
 fn main() {
     let suite = profile_suite(scale_from_env());
@@ -25,28 +26,37 @@ fn main() {
     let mut static_branches = Vec::new();
     let mut executed_branches = Vec::new();
     let mut improved_branches = Vec::new();
+    let mut ipm = Vec::new();
 
     for p in &suite {
         let t = &p.trace;
-        // Every trace-derived row comes out of one fused traversal: the
-        // dynamic zoo, the profile closed form, the 1-bit global tables,
-        // and the 9-bit local tables (the 1-bit loop row aggregates from
-        // the latter instead of re-walking the trace).
-        let fused = FusedAnalytics::run(t);
-        rows[0].1.push(fused.last_direction.misprediction_percent());
-        rows[1].1.push(fused.two_bit.misprediction_percent());
-        rows[2].1.push(fused.two_level_4k.misprediction_percent());
-        let profile = &fused.profile;
+        let stats = t.stats();
+        rows[0]
+            .1
+            .push(simulate_dynamic(&mut LastDirection::new(), t).misprediction_percent());
+        rows[1]
+            .1
+            .push(simulate_dynamic(&mut TwoBitCounters::new(), t).misprediction_percent());
+        rows[2]
+            .1
+            .push(simulate_dynamic(&mut TwoLevel::paper_4k(), t).misprediction_percent());
+        let profile = profile_report_from_stats(&stats);
         rows[3].1.push(profile.misprediction_percent());
-        let corr1 = fused.global1.report();
+        let corr1 = PatternTableSet::build(t, HistoryKind::Global, 1).report();
         rows[4].1.push(corr1.misprediction_percent());
+        // The 1-bit loop row aggregates from the 9-bit local tables
+        // instead of re-walking the trace.
+        let local9 = PatternTableSet::build(t, HistoryKind::Local, 9);
         rows[5]
             .1
-            .push(fused.local9.aggregated(1).report().misprediction_percent());
-        let loop9 = fused.local9.report();
+            .push(local9.aggregated(1).report().misprediction_percent());
+        let loop9 = local9.report();
         rows[6].1.push(loop9.misprediction_percent());
         let lc = combine_best(&corr1, &loop9);
         rows[7].1.push(lc.misprediction_percent());
+        // Fisher & Freudenberger's preferred measure: average executed
+        // instructions per mispredicted branch, for the best semi-static row.
+        ipm.push(lc.instructions_per_misprediction(p.steps));
         // No-profile baseline: SCCP/interval proofs plus Ball–Larus-style
         // heuristics, never consulting the trace. Every profile-informed
         // row above should beat it — that gap is the price of going
@@ -58,27 +68,13 @@ fn main() {
             .push(evaluate_static(pg.prediction(), t).misprediction_percent());
 
         static_branches.push(p.workload.module.branch_count() as u64);
-        executed_branches.push(fused.stats.executed_sites() as u64);
-        improved_branches.push(lc.improved_sites_vs(profile) as u64);
+        executed_branches.push(stats.executed_sites() as u64);
+        improved_branches.push(lc.improved_sites_vs(&profile) as u64);
     }
 
     for (label, values) in &rows {
         print_row(label, values);
     }
-    // Fisher & Freudenberger's preferred measure: average executed
-    // instructions per mispredicted branch, for the best semi-static row.
-    let ipm: Vec<f64> = suite
-        .iter()
-        .zip(&rows[7].1)
-        .map(|(p, pct)| {
-            let wrong = (pct / 100.0) * p.trace.len() as f64;
-            if wrong < 0.5 {
-                f64::INFINITY
-            } else {
-                p.steps as f64 / wrong
-            }
-        })
-        .collect();
     print_row("insns/mispred (l-c)", &ipm);
     println!();
     print_row_counts("static branches", &static_branches);

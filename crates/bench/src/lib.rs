@@ -16,7 +16,7 @@
 //! | `ablation` | refinement, size budget and machine states varied one at a time |
 //! | `gates` | the four gate families (`BR001`–`BR022`) over every program, profile- and static-planned |
 //! | `fuzz` | differential fuzzing of random loop CFGs through the whole pipeline |
-//! //! | `respec` | drift-recovery scenarios for runtime re-specialization |
+//! | `respec` | drift-recovery scenarios for runtime re-specialization |
 //!
 //! Scale selection: set `BREPL_SCALE=full` for the paper-sized runs
 //! (millions of branches; use `--release`); the default `small` finishes

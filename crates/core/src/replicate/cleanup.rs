@@ -1,10 +1,10 @@
 //! Dead-block removal after rewiring — the paper's Figure 1 discards the
 //! replicas "2b" and "3a" because no path leads to them. Reachability
-//! comes from `brepl-analysis`, the same computation the `BR001` lint
-//! uses, so "cleanup removed it" and "the validator would flag it" can
-//! never disagree.
+//! is `Cfg::reachable`, the same computation the `BR001` lint uses, so
+//! "cleanup removed it" and "the validator would flag it" can never
+//! disagree.
 
-use brepl_analysis::reachable_blocks;
+use brepl_cfg::Cfg;
 use brepl_ir::{BlockId, Function};
 
 /// Removes blocks unreachable from the entry and compacts the block list.
@@ -13,7 +13,7 @@ use brepl_ir::{BlockId, Function};
 /// removed blocks).
 pub fn remove_unreachable(func: &mut Function) -> Vec<Option<BlockId>> {
     let n = func.blocks.len();
-    let reachable = reachable_blocks(func);
+    let reachable = Cfg::new(func).reachable();
     let mut map: Vec<Option<BlockId>> = vec![None; n];
     let mut next = 0u32;
     for i in 0..n {

@@ -55,25 +55,10 @@ impl SimplifyTrace {
 /// block pairs, then removes unreachable blocks. Conditional branches and
 /// their site ids are never touched, so predictions and provenance remain
 /// valid.
-pub fn simplify_function(func: &mut Function) -> SimplifyStats {
-    simplify_function_tracked(func).0
-}
-
-/// Like [`simplify_function`], additionally returning where each original
-/// block ended up: `map[old] = Some(new)` (merges map the donor block to
-/// its absorbing block; unreachable blocks map to `None`). Callers that
-/// track per-block annotations — the replication pipeline tracks branch
-/// predictions — remap through this.
-pub fn simplify_function_with_map(func: &mut Function) -> (SimplifyStats, Vec<Option<BlockId>>) {
-    let (stats, trace) = simplify_function_tracked(func);
-    let map = trace.block_map();
-    (stats, map)
-}
-
-/// Like [`simplify_function`], additionally returning the full
-/// [`SimplifyTrace`]. The replicator replays the merge log over its origin
-/// chains (a merge concatenates the donor's chain onto the absorber's),
-/// which the composed map of [`simplify_function_with_map`] cannot express.
+///
+/// Also returns the [`SimplifyTrace`]: the replicator replays its merge
+/// log over its origin chains (a merge concatenates the donor's chain
+/// onto the absorber's).
 pub fn simplify_function_tracked(func: &mut Function) -> (SimplifyStats, SimplifyTrace) {
     let mut stats = SimplifyStats::default();
     let mut trace = SimplifyTrace::default();
@@ -169,7 +154,7 @@ pub fn simplify_module(module: &mut brepl_ir::Module) -> SimplifyStats {
     let mut total = SimplifyStats::default();
     let fids: Vec<_> = module.iter_functions().map(|(f, _)| f).collect();
     for fid in fids {
-        let s = simplify_function(module.function_mut(fid));
+        let (s, _) = simplify_function_tracked(module.function_mut(fid));
         total.threaded_edges += s.threaded_edges;
         total.merged_blocks += s.merged_blocks;
         total.removed_blocks += s.removed_blocks;

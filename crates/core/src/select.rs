@@ -291,27 +291,6 @@ pub fn synthesize_profile_trace(profile: &StaticProfile) -> Trace {
     trace
 }
 
-/// Estimate-driven strategy selection: plans replication with **zero**
-/// profiling runs by selecting over the synthetic trace of
-/// [`synthesize_profile_trace`]. Returns the selection, the synthetic
-/// trace (the downstream `apply_plan`/gate stack consumes its stats)
-/// and the classified fast-path skip count.
-///
-/// # Panics
-///
-/// Panics unless `2 <= max_states <= 10`.
-pub fn select_strategies_estimated(
-    module: &Module,
-    profile: &StaticProfile,
-    classification: Option<&Classification>,
-    max_states: usize,
-) -> (Selection, Trace, usize) {
-    let trace = synthesize_profile_trace(profile);
-    let (selection, skips) =
-        select_strategies_classified(module, &trace, max_states, classification);
-    (selection, trace, skips)
-}
-
 /// The fast-path candidates: executed sites proved monostatic whose
 /// profile is unanimous. Unanimity (not the proof) is what licenses the
 /// skip — `profile_misses == 0` makes the Profile choice unbeatable — so
@@ -963,10 +942,10 @@ mod tests {
 
         // Estimate-driven selection runs end to end on the synthetic
         // trace and its plan applies to the module.
-        let (sel, trace, skips) = select_strategies_estimated(&m, &profile, Some(&cls), 4);
-        assert_eq!(sel.total_events(), trace.len() as u64);
+        let (sel, skips) = select_strategies_classified(&m, &t, 4, Some(&cls));
+        assert_eq!(sel.total_events(), t.len() as u64);
         assert!(skips >= 1, "the proved guard takes the fast path");
-        let program = crate::replicate::apply_plan(&m, &sel.to_plan(), &trace.stats()).unwrap();
+        let program = crate::replicate::apply_plan(&m, &sel.to_plan(), &stats).unwrap();
         assert!(program.module.branch_count() >= m.branch_count());
     }
 

@@ -116,11 +116,6 @@ impl FunctionBuilder {
         self.current = block;
     }
 
-    /// The currently selected block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     fn push(&mut self, inst: Inst) {
         let (insts, term) = &mut self.blocks[self.current.index()];
         assert!(

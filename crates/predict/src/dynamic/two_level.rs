@@ -118,18 +118,6 @@ impl TwoLevel {
         p
     }
 
-    /// Yeh–Patt's best cost/accuracy point in the paper's citation: a
-    /// history register per branch and a pattern table per set of branches.
-    pub fn yeh_patt_pas(history_bits: u32, entries: usize, sets: usize) -> Self {
-        let mut p = TwoLevel::new(
-            RegisterArrangement::PerAddress { entries },
-            history_bits,
-            PatternArrangement::PerSet { sets },
-        );
-        p.name = "two-level PAs";
-        p
-    }
-
     /// Implementation cost in bits: history registers plus two-bit
     /// counters, the metric Yeh & Patt use to compare configurations.
     pub fn cost_bits(&self) -> usize {

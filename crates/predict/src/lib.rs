@@ -40,13 +40,11 @@ pub mod semistatic;
 pub mod stat;
 
 mod eval;
-mod fused;
 mod pattern;
 mod report;
 
 pub use eval::{
     evaluate_static, evaluate_static_counts, simulate_dynamic, DynamicPredictor, StaticPrediction,
 };
-pub use fused::{FusedAnalytics, FUSED_LOCAL_BITS};
 pub use pattern::{HistoryKind, PatternTable, PatternTableSet, SuffixAggregate};
 pub use report::Report;

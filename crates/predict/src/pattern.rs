@@ -292,11 +292,9 @@ impl SuffixAggregate<'_> {
     }
 }
 
-/// Largest dense scratch (in `SiteCounts` entries) the batched builders
-/// will allocate before falling back to per-event hashing. Shared with the
-/// fused analytics pass so both take the dense/sparse fork at the same
-/// threshold.
-pub(crate) const MAX_SCRATCH_ENTRIES: usize = 1 << 22;
+/// Largest dense scratch (in `SiteCounts` entries) the batched builder
+/// will allocate before falling back to per-event hashing.
+const MAX_SCRATCH_ENTRIES: usize = 1 << 22;
 
 /// Pattern tables for every site of one trace, built with a given history
 /// kind and length.
@@ -377,28 +375,6 @@ impl PatternTableSet {
             }
         }
         compact_scratch(&scratch, n_sites, bits)
-    }
-
-    /// Assembles a set from a dense per-site scratch, exactly as
-    /// [`PatternTableSet::build`]'s dense path would after its event walk.
-    /// The fused analytics pass accumulates the same scratch layout
-    /// (`scratch[site << bits | history]`) during its single traversal and
-    /// hands it here for compaction.
-    pub(crate) fn from_dense_scratch(
-        kind: HistoryKind,
-        bits: u32,
-        scratch: &[SiteCounts],
-        n_sites: usize,
-        total_events: u64,
-    ) -> Self {
-        assert!((1..=16).contains(&bits), "history bits must be in 1..=16");
-        debug_assert_eq!(scratch.len(), n_sites << bits);
-        PatternTableSet {
-            kind,
-            bits,
-            tables: compact_scratch(scratch, n_sites, bits),
-            total_events,
-        }
     }
 
     /// Event-by-event hash-table build — the fallback when the dense

@@ -24,8 +24,7 @@ pub fn profile_report(trace: &Trace) -> Report {
 
 /// [`profile_report`] from already-computed statistics — the closed form
 /// needs nothing but the per-site counts, so callers that hold a
-/// [`TraceStats`] (the fused analytics pass, the pipeline) skip the trace
-/// walk entirely.
+/// [`TraceStats`] (such as `table1`) skip the trace walk entirely.
 pub fn profile_report_from_stats(stats: &TraceStats) -> Report {
     let mut r = Report::new();
     for (site, counts) in stats.iter_executed() {

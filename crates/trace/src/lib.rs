@@ -36,5 +36,5 @@ mod window;
 pub use packed::{packed_site_streams, PackedStream};
 pub use sink::EventSink;
 pub use stats::{SiteCounts, TraceStats};
-pub use trace::{Trace, TraceDecodeError, TraceError, TraceEvent};
-pub use window::{windowed_counts, WindowedCounts};
+pub use trace::{Trace, TraceError, TraceEvent};
+pub use window::windowed_counts;

@@ -62,9 +62,9 @@ impl TraceStats {
 
     /// Builds statistics directly from per-site counts indexed by site —
     /// the accumulation shape of [`TraceStats::from_trace`], for callers
-    /// (like the fused analytics pass) that produce the same counts as a
-    /// by-product of another traversal. Equal to `from_trace` on any trace
-    /// whose per-site tallies match `counts`.
+    /// (like the re-specialization layer) that hold the counts without a
+    /// trace. Equal to `from_trace` on any trace whose per-site tallies
+    /// match `counts`.
     pub fn from_counts(counts: Vec<SiteCounts>) -> Self {
         let total = counts.iter().map(SiteCounts::total).sum();
         TraceStats { counts, total }

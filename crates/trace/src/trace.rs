@@ -44,9 +44,6 @@ pub enum TraceError {
     SiteOutOfRange,
 }
 
-/// The historical name of [`TraceError`], kept for compatibility.
-pub type TraceDecodeError = TraceError;
-
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -214,29 +211,6 @@ impl Trace {
         out
     }
 
-    /// Writes the serialized trace to any writer (a `&mut W` works too).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writer.write_all(&self.to_bytes())
-    }
-
-    /// Reads a serialized trace from any reader (a `&mut R` works too).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`std::io::Error`] on I/O failure or malformed data
-    /// (malformed data maps [`TraceDecodeError`] into
-    /// [`std::io::ErrorKind::InvalidData`]).
-    pub fn read_from<R: std::io::Read>(mut reader: R) -> std::io::Result<Self> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Trace::from_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// Deserializes a trace produced by [`Trace::to_bytes`]. Total: any
     /// byte string returns `Ok` or a typed error, never a panic.
     ///
@@ -360,9 +334,9 @@ mod tests {
     fn bad_header_rejected() {
         assert_eq!(
             Trace::from_bytes(b"NOPE\x01\x00"),
-            Err(TraceDecodeError::BadHeader)
+            Err(TraceError::BadHeader)
         );
-        assert_eq!(Trace::from_bytes(b""), Err(TraceDecodeError::BadHeader));
+        assert_eq!(Trace::from_bytes(b""), Err(TraceError::BadHeader));
     }
 
     #[test]
@@ -371,7 +345,7 @@ mod tests {
         let bytes = t.to_bytes();
         assert_eq!(
             Trace::from_bytes(&bytes[..bytes.len() - 13]),
-            Err(TraceDecodeError::Truncated)
+            Err(TraceError::Truncated)
         );
     }
 
@@ -399,18 +373,6 @@ mod tests {
         assert_eq!(t.len(), 10);
         t.truncate(50); // no-op beyond length
         assert_eq!(t.len(), 10);
-    }
-
-    #[test]
-    fn io_round_trip() {
-        let t = loopy_trace(500);
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        let back = Trace::read_from(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
-        // Malformed data surfaces as InvalidData.
-        let err = Trace::read_from(&b"garbage"[..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

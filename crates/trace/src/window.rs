@@ -8,14 +8,11 @@
 //! whole words are popcounted and only the window edges pay a mask — so
 //! the feed costs ~1 instruction per 64 outcomes.
 //!
-//! [`windowed_counts`] slices a single stream; [`WindowedCounts`] bundles
-//! the per-site feeds for a whole trace via [`packed_site_streams`].
+//! [`windowed_counts`] slices a single stream; a per-site feed is one call
+//! per stream of [`packed_site_streams`](crate::packed_site_streams).
 
-use brepl_ir::BranchId;
-
-use crate::packed::{packed_site_streams, PackedStream};
+use crate::packed::PackedStream;
 use crate::stats::SiteCounts;
-use crate::trace::Trace;
 
 /// Number of taken outcomes in `stream[start..end)`, word-at-a-time.
 ///
@@ -78,55 +75,9 @@ pub fn windowed_counts(stream: &PackedStream, window: usize) -> Vec<SiteCounts> 
     out
 }
 
-/// Per-site windowed counters for a whole trace.
-///
-/// Site `i`'s windows summarise that site's own outcome stream (not the
-/// interleaved trace), so window `k` at site `i` covers executions
-/// `k*window .. (k+1)*window` *of that site*. Built in one pass over the
-/// trace via [`packed_site_streams`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WindowedCounts {
-    window: usize,
-    sites: Vec<Vec<SiteCounts>>,
-}
-
-impl WindowedCounts {
-    /// Builds the per-site feed from a trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn from_trace(trace: &Trace, window: usize) -> Self {
-        let streams = packed_site_streams(trace, &trace.stats());
-        WindowedCounts {
-            window,
-            sites: streams.iter().map(|s| windowed_counts(s, window)).collect(),
-        }
-    }
-
-    /// The window length this feed was built with.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Number of site slots (`0..=max_site`, empty slots included).
-    pub fn num_sites(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// The windows for `site`, oldest first. Sites beyond the trace's
-    /// maximum (or that never executed) yield an empty slice.
-    pub fn site_windows(&self, site: BranchId) -> &[SiteCounts] {
-        self.sites
-            .get(site.index())
-            .map_or(&[][..], |w| w.as_slice())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
 
     fn xorshift_bools(n: usize, mut state: u64) -> Vec<bool> {
         (0..n)
@@ -169,30 +120,5 @@ mod tests {
             let want = dirs[start..end].iter().filter(|&&d| d).count() as u64;
             assert_eq!(count_taken_range(&s, start, end), want, "{start}..{end}");
         }
-    }
-
-    #[test]
-    fn per_site_feed_matches_per_site_streams() {
-        let mut trace = Trace::new();
-        let dirs = xorshift_bools(4000, 7);
-        for (i, &taken) in dirs.iter().enumerate() {
-            trace.push(TraceEvent {
-                site: BranchId((i % 3) as u32),
-                taken,
-            });
-        }
-        let feed = WindowedCounts::from_trace(&trace, 100);
-        assert_eq!(feed.window(), 100);
-        assert_eq!(feed.num_sites(), 3);
-        let streams = packed_site_streams(&trace, &trace.stats());
-        for site in 0..3u32 {
-            let id = BranchId(site);
-            let want = windowed_counts(&streams[site as usize], 100);
-            assert_eq!(feed.site_windows(id), want.as_slice(), "site {site}");
-            let total: u64 = feed.site_windows(id).iter().map(|c| c.total()).sum();
-            assert_eq!(total, trace.stats().site(id).total());
-        }
-        // Out-of-range sites are empty, not a panic.
-        assert!(feed.site_windows(BranchId(99)).is_empty());
     }
 }

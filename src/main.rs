@@ -150,6 +150,7 @@ fn cmd_replicate(args: &[String]) -> Result<(), String> {
                 states = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
+                    .filter(|n| (2..=10).contains(n))
                     .ok_or("--states needs a number in 2..=10")?;
             }
             "--budget" => {
