@@ -11,9 +11,9 @@
 //! the recorded outcome.
 //!
 //! Because the fold is exact over the training trace, the computed bound
-//! equals the simulator-measured misprediction count on the same input —
-//! making `bound >= simulated` a differential invariant the test suite and
-//! the `gates` bench binary both enforce. Like
+//! equals the simulator-measured misprediction count on the same input,
+//! site by site — the test suite and the fuzz oracles check that equality,
+//! and the `gates` bench binary enforces `bound >= simulated`. Like
 //! [`crate::check_history`], the replay never touches the replica-map
 //! witness: it needs only the shipped module, branch provenance, the pinned
 //! [`StaticPrediction`] and the profiling [`Trace`].
@@ -173,7 +173,7 @@ pub fn static_cost(
 
     let mut frames: Vec<(FuncId, BlockId, usize)> = Vec::new();
     let mut fid = entry_fid;
-    let mut bid = BlockId(0);
+    let mut bid = replicated.function(fid).entry;
     let mut ii = 0usize;
     let mut steps_since_event = 0u64;
 
@@ -190,7 +190,7 @@ pub fn static_cost(
                     .ok_or_else(|| CostError::UnknownCallee(callee.clone()))?;
                 frames.push((fid, bid, ii + 1));
                 fid = target;
-                bid = BlockId(0);
+                bid = replicated.function(fid).entry;
                 ii = 0;
             } else {
                 ii += 1;
@@ -310,6 +310,56 @@ mod tests {
         assert_eq!(report.sites[0].executions, 5);
         assert_eq!(report.size_growth_percent(), 0.0);
         assert!((report.bound_percent() - 20.0).abs() < 1e-9);
+    }
+
+    /// `main` calls `count`, the counted loop of [`counted_loop`]; in both
+    /// functions block 0 is a dead `ret` and the entry is block 1.
+    fn entries_past_block_zero() -> Module {
+        let mut b = FunctionBuilder::new("count", 0);
+        b.ret(None);
+        let start = b.new_block();
+        let head = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        b.switch_to(start);
+        let i = b.reg();
+        b.const_int(i, 0);
+        b.jmp(head);
+        b.switch_to(head);
+        let c = b.lt(i.into(), Operand::imm(4));
+        b.br(c, body, exit);
+        b.switch_to(body);
+        b.add(i, i.into(), Operand::imm(1));
+        b.jmp(head);
+        b.switch_to(exit);
+        b.ret(None);
+        let mut count = b.finish();
+        count.entry = start;
+
+        let mut b = FunctionBuilder::new("main", 0);
+        b.ret(None);
+        let start = b.new_block();
+        b.switch_to(start);
+        b.call(None, "count", Vec::new());
+        b.ret(None);
+        let mut main = b.finish();
+        main.entry = start;
+
+        let mut m = Module::new();
+        m.push_function(main);
+        m.push_function(count);
+        m.renumber_branches();
+        m
+    }
+
+    #[test]
+    fn replay_enters_functions_at_their_entry_block() {
+        let m = entries_past_block_zero();
+        let p = StaticPrediction::with_default(true);
+        let report = static_cost(&m, &m, &[BranchId(0)], &p, &loop_trace(), "main")
+            .expect("replay follows the entry blocks");
+        assert_eq!(report.total_events, 5);
+        assert_eq!(report.total_bound(), 1);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! [`shrink`] reduces a failing case to a minimal `(diamonds, trip)`.
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, UnwindSafe};
 
 use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl_analysis::{
-    classification_diags, classify_module, estimate_profile, static_profile_diags, DiagCode,
-    Severity,
+    classification_diags, classify_module, estimate_profile, static_cost, static_profile_diags,
+    DiagCode, Severity,
 };
-use brepl_ir::{Module, Value};
+use brepl_core::ReplicatedProgram;
+use brepl_ir::{BranchId, Module, Value};
 use brepl_sim::{Machine, Outcome, RunConfig};
 use brepl_trace::TraceStats;
 use brepl_workloads::synth::random_loop_module;
@@ -24,7 +26,8 @@ use brepl_workloads::synth::random_loop_module;
 /// the dynamic backstop armed, so success implies execution equivalence
 /// between the original and the shipped program. Quarantine may fire in
 /// default mode; a strict run that returns quarantined sites fails. Both
-/// programs then pass [`sink_differential`].
+/// programs then pass [`sink_differential`], and the shipped one
+/// [`replay_differential`].
 pub fn pipeline_case(
     seed: u64,
     diamonds: usize,
@@ -39,8 +42,78 @@ pub fn pipeline_case(
             return Err("strict run returned quarantined sites".to_string());
         }
         sink_differential(&m, &[], &[]).map_err(|e| format!("original: {e}"))?;
-        sink_differential(&result.program.module, &[], &[]).map_err(|e| format!("shipped: {e}"))
+        sink_differential(&result.program.module, &[], &[]).map_err(|e| format!("shipped: {e}"))?;
+        replay_differential(&m, &[], &[], &result.program)
     })
+}
+
+/// Exact-replay oracle: [`static_cost`], folding the original module's
+/// trace through the shipped program, must charge every original site
+/// exactly the executions and misses that the shipped program's own run
+/// counts at its replicas against their pinned predictions, folded back
+/// through provenance.
+///
+/// # Errors
+///
+/// A failed replay or the first site whose counts differ, described; a
+/// trap in either run.
+pub fn replay_differential(
+    original: &Module,
+    args: &[Value],
+    input: &[Value],
+    program: &ReplicatedProgram,
+) -> Result<(), String> {
+    let trace = machine(original, input)?
+        .run("main", args)
+        .map_err(|e| format!("original run: {e}"))?
+        .trace;
+    let report = static_cost(
+        original,
+        &program.module,
+        &program.provenance,
+        &program.predictions,
+        &trace,
+        "main",
+    )
+    .map_err(|e| format!("cost replay: {e}"))?;
+    let shipped = machine(&program.module, input)?
+        .run_with("main", args, &[], TraceStats::default())
+        .map_err(|e| format!("shipped run: {e}"))?
+        .sink;
+    let mut counted: BTreeMap<BranchId, (u64, u64)> = BTreeMap::new();
+    for (site, c) in shipped.iter_executed() {
+        let origin = program
+            .provenance
+            .get(site.index())
+            .copied()
+            .unwrap_or(site);
+        let misses = if program.predictions.get(site) {
+            c.not_taken
+        } else {
+            c.taken
+        };
+        let entry = counted.entry(origin).or_default();
+        entry.0 += c.total();
+        entry.1 += misses;
+    }
+    let replayed: BTreeMap<BranchId, (u64, u64)> = report
+        .sites
+        .iter()
+        .map(|s| (s.site, (s.executions, s.bound)))
+        .collect();
+    if counted == replayed {
+        return Ok(());
+    }
+    let site = counted
+        .keys()
+        .chain(replayed.keys())
+        .find(|s| counted.get(s) != replayed.get(s))
+        .expect("the maps differ at some site");
+    Err(format!(
+        "site {site}: replay charges (executions, misses) {:?}, the shipped run counts {:?}",
+        replayed.get(site),
+        counted.get(site)
+    ))
 }
 
 /// Event-sink oracle: a run that counts its branches per site
@@ -54,12 +127,7 @@ pub fn pipeline_case(
 ///
 /// The first difference, described; a trap in any run.
 pub fn sink_differential(module: &Module, args: &[Value], input: &[Value]) -> Result<(), String> {
-    let machine = || -> Result<Machine<'_>, String> {
-        let mut m = Machine::new(module, RunConfig::default()).map_err(|e| e.to_string())?;
-        m.set_input(input.to_vec());
-        Ok(m)
-    };
-    let mut m = machine()?;
+    let mut m = machine(module, input)?;
     let recorded = m.run("main", args).map_err(|e| format!("run: {e}"))?;
     let recorded_output = m.output().to_vec();
     let want = recorded.trace.stats();
@@ -67,7 +135,7 @@ pub fn sink_differential(module: &Module, args: &[Value], input: &[Value]) -> Re
     // never reached and must be padded with the final event count.
     let bounds = [0, input.len() / 2, input.len() + 1];
     for bounds in [&[][..], &bounds[..]] {
-        let mut m = machine()?;
+        let mut m = machine(module, input)?;
         let counted = m
             .run_with("main", args, bounds, TraceStats::default())
             .map_err(|e| format!("counting run: {e}"))?;
@@ -83,7 +151,7 @@ pub fn sink_differential(module: &Module, args: &[Value], input: &[Value]) -> Re
         if counted.sink != want {
             return Err("per-site counts differ from trace.stats()".to_string());
         }
-        let mut m = machine()?;
+        let mut m = machine(module, input)?;
         let (segmented, marks) = m
             .run_segmented("main", args, bounds)
             .map_err(|e| format!("segmented run: {e}"))?;
@@ -240,6 +308,13 @@ fn panic_text(payload: &(dyn Any + Send)) -> String {
 /// Runs one oracle body, reporting a panic as a failure.
 fn caught(body: impl FnOnce() -> Result<(), String> + UnwindSafe) -> Result<(), String> {
     catch_unwind(body).unwrap_or_else(|payload| Err(format!("panicked: {}", panic_text(&*payload))))
+}
+
+/// A fresh interpreter for `module` with `input` on its tape.
+fn machine<'m>(module: &'m Module, input: &[Value]) -> Result<Machine<'m>, String> {
+    let mut m = Machine::new(module, RunConfig::default()).map_err(|e| e.to_string())?;
+    m.set_input(input.to_vec());
+    Ok(m)
 }
 
 /// The module's own run on empty arguments and input: the honest trace

@@ -4,9 +4,10 @@
 //! The per-branch machine search, the suite profiling runs and the
 //! table/figure sweeps are all embarrassingly parallel: every unit of work
 //! is a pure function of read-only inputs. [`par_map`] fans such work out
-//! over `std::thread::scope` and merges the results back **in input
-//! order**, so the output is bit-identical to the serial path no matter
-//! how the OS schedules the workers.
+//! over `std::thread::scope` — the calling thread works alongside the
+//! threads it spawns — and merges the results back **in input order**, so
+//! the output is bit-identical to the serial path no matter how the OS
+//! schedules the workers.
 //!
 //! Thread count resolution, in priority order:
 //!
@@ -14,14 +15,16 @@
 //! 2. [`std::thread::available_parallelism`].
 //!
 //! Nested calls run serially: a `par_map` issued from inside a `par_map`
-//! worker does not spawn further threads, so parallel bench drivers can
+//! worker (the calling thread included, while it works on its share) does
+//! not spawn further threads, so parallel bench drivers can
 //! call parallel library entry points without oversubscribing the machine.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
-    /// True inside a `par_map` worker; makes nested calls serial.
+    /// True inside a `par_map` worker, and on the calling thread while it
+    /// works on its share; makes nested calls serial.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -49,7 +52,8 @@ pub fn thread_count() -> usize {
 }
 
 /// Applies `f` to every element of `items` using up to `threads` workers
-/// and returns the results in input order.
+/// — the calling thread and `threads - 1` spawned ones — and returns the
+/// results in input order.
 ///
 /// Work is distributed dynamically (an atomic cursor), so uneven per-item
 /// costs — the per-branch search varies by ~5× — still balance. Each
@@ -89,52 +93,58 @@ where
     type Panic = (usize, Box<dyn std::any::Any + Send + 'static>);
 
     let cursor = AtomicUsize::new(0);
+    // One worker's share: claim items off the shared cursor until none
+    // are left.
+    let drain = || {
+        let mut out = Vec::new();
+        let mut caught: Option<Panic> = None;
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            // Catch panics from `f` so every item is still claimed and all
+            // workers drain the cursor: no deadlock, no item processed
+            // twice, and — because every panicking item panics, not just
+            // whichever raced first — the payload re-raised below is the
+            // one the serial path would have raised. AssertUnwindSafe is
+            // sound here: on panic, all results are discarded and the
+            // payload re-raised.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&items[i]))) {
+                Ok(r) => out.push((i, r)),
+                Err(payload) => match &caught {
+                    Some((j, _)) if *j <= i => {}
+                    _ => caught = Some((i, payload)),
+                },
+            }
+        }
+        (out, caught)
+    };
     let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
     let mut panics: Vec<Panic> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (1..threads)
             .map(|_| {
                 scope.spawn(|| {
                     IN_WORKER.with(|w| w.set(true));
-                    let mut out = Vec::new();
-                    let mut caught: Option<Panic> = None;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        // Catch panics from `f` so every item is still
-                        // claimed and all workers drain the cursor: no
-                        // deadlock, no item processed twice, and — because
-                        // every panicking item panics, not just whichever
-                        // raced first — the payload re-raised below is the
-                        // one the serial path would have raised.
-                        // AssertUnwindSafe is sound here: on panic, all
-                        // results are discarded and the payload re-raised.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || f(&items[i]),
-                        )) {
-                            Ok(r) => out.push((i, r)),
-                            Err(payload) => match &caught {
-                                Some((j, _)) if *j <= i => {}
-                                _ => caught = Some((i, payload)),
-                            },
-                        }
-                    }
-                    (out, caught)
+                    drain()
                 })
             })
             .collect();
-        for h in handles {
+        // The calling thread is the last worker rather than waiting idle;
+        // while it works, nested calls from its items run serially too.
+        let was_worker = IN_WORKER.with(|w| w.replace(true));
+        let own = drain();
+        IN_WORKER.with(|w| w.set(was_worker));
+        let joined = handles.into_iter().map(|h| {
             // Workers catch panics from `f`; a join error would be a bug in
-            // the loop above, so surface it with a sentinel index.
-            let (out, caught) = h
-                .join()
-                .unwrap_or_else(|payload| (Vec::new(), Some((usize::MAX, payload))));
+            // `drain`, so surface it with a sentinel index.
+            h.join()
+                .unwrap_or_else(|payload| (Vec::new(), Some((usize::MAX, payload))))
+        });
+        for (out, caught) in joined.chain([own]) {
             parts.push(out);
-            if let Some(p) = caught {
-                panics.push(p);
-            }
+            panics.extend(caught);
         }
     });
     // Deterministic panic propagation: after all workers finish, re-raise
@@ -199,6 +209,31 @@ mod tests {
         });
         let expect: Vec<u32> = items.iter().map(|&x| 4 * x + 2).collect();
         assert_eq!(out, expect);
+    }
+
+    /// The calling thread works its share of the items as a worker: its
+    /// nested calls stay serial, and its thread count is restored after.
+    #[test]
+    fn calling_thread_works_as_a_worker() {
+        let caller = std::thread::current().id();
+        let before = thread_count();
+        // Every item waits for one on the other thread, so each of the
+        // two workers runs exactly half of the items.
+        let both = std::sync::Barrier::new(2);
+        let items: Vec<u32> = (0..8).collect();
+        let ran = par_map_with(2, &items, |&x| {
+            both.wait();
+            let me = std::thread::current().id();
+            assert_eq!(thread_count(), 1);
+            let inner = par_map(&[x, x + 1, x + 2], |&y| {
+                assert_eq!(std::thread::current().id(), me, "nested call spawned");
+                y
+            });
+            assert_eq!(inner, [x, x + 1, x + 2]);
+            me == caller
+        });
+        assert_eq!(ran.iter().filter(|&&by_caller| by_caller).count(), 4);
+        assert_eq!(thread_count(), before);
     }
 
     #[test]

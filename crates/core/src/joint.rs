@@ -14,8 +14,14 @@
 //! given per-branch accuracy curves (mispredictions as a function of that
 //! branch's machine size) and a total product budget, choose each branch's
 //! size so the product stays within budget and total mispredictions are
-//! minimal. The search space is exponential in the number of branches, so
-//! we use exactly the branch-and-bound the paper calls for.
+//! minimal. The size vectors are exponential in the number of branches,
+//! but the search need not be: once the first `i` sizes are fixed, all
+//! that matters to the rest is the quotient `budget / product`, and a
+//! budget `B` has at most `2·√B` distinct quotients. An exact dynamic
+//! program over `(branch, quotient)` therefore fills at most
+//! `branches × 2√B` cells — 18 × 44 for the 512-state product cap — where
+//! a branch-and-bound over the size vectors visits millions of nodes on
+//! the same loops.
 
 use brepl_ir::BranchId;
 
@@ -32,21 +38,9 @@ pub struct BranchCurve {
 }
 
 impl BranchCurve {
-    /// The lowest misprediction on the curve (used for bounding).
-    fn best(&self) -> u64 {
-        self.misses.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Best misprediction among sizes `1..=cap` states.
-    fn best_within(&self, cap: usize) -> (usize, u64) {
-        self.misses
-            .iter()
-            .take(cap)
-            .copied()
-            .enumerate()
-            .min_by_key(|&(i, m)| (m, i))
-            .map(|(i, m)| (i + 1, m))
-            .unwrap_or((1, 0))
+    /// The largest size that fits in `remaining` states.
+    fn max_size(&self, remaining: u64) -> usize {
+        remaining.min(self.misses.len() as u64) as usize
     }
 }
 
@@ -64,11 +58,15 @@ pub struct JointAllocation {
 /// Chooses machine sizes for the branches of one loop, minimizing total
 /// mispredictions subject to `product(states) <= budget`.
 ///
-/// Branch-and-bound over branches in input order: at each node the bound
-/// is the partial cost plus every remaining branch's unconstrained best;
-/// a node is pruned when its bound cannot beat the incumbent. The
-/// incumbent is seeded greedily (every branch at its best size within the
-/// per-branch leftover budget), so pruning bites immediately.
+/// Exact: a dynamic program over `(branch index, remaining budget)`, where
+/// the remaining budget is `budget` divided (rounding down) by the sizes
+/// chosen so far. Among equally good allocations it returns the greedy
+/// one — left to right, each branch at its best size within what the
+/// earlier branches left, the smaller size on a tie — when that is
+/// optimal, and otherwise the lexicographically greatest optimal size
+/// vector. That is the choice of the depth-first branch-and-bound this
+/// search replaced (greedy incumbent, larger sizes first), so selections
+/// did not change with it. Costs saturate at `u64::MAX`.
 ///
 /// # Panics
 ///
@@ -78,105 +76,88 @@ pub fn allocate_joint_states(curves: &[BranchCurve], budget: u64) -> JointAlloca
     for c in curves {
         assert!(!c.misses.is_empty(), "curve for {} is empty", c.site);
     }
-    if curves.is_empty() {
-        return JointAllocation {
-            states: Vec::new(),
-            total_misses: 0,
-            product: 1,
-        };
-    }
 
-    // Seed incumbent: greedy left-to-right, each branch taking its best
-    // size that still leaves room (>= 1 state) for the rest.
-    let mut incumbent_sizes = vec![1usize; curves.len()];
-    {
-        let mut remaining = budget;
-        for (i, c) in curves.iter().enumerate() {
-            let cap = remaining.min(c.misses.len() as u64) as usize;
-            let (n, _) = c.best_within(cap.max(1));
-            incumbent_sizes[i] = n;
-            remaining /= n as u64;
-            if remaining == 0 {
-                remaining = 1;
-            }
-        }
+    // Every remaining budget is `budget / m` for some m >= 1, since
+    // (b / x) / y == b / (x * y) in integer division; ascending.
+    let mut quotients = Vec::new();
+    let mut m = 1;
+    while m <= budget {
+        let q = budget / m;
+        quotients.push(q);
+        m = budget / q + 1;
     }
-    let cost_of = |sizes: &[usize]| -> u64 {
-        sizes
-            .iter()
-            .zip(curves)
-            .map(|(&n, c)| c.misses[n - 1])
-            .sum()
+    quotients.reverse();
+    let slot = |r: u64| {
+        quotients
+            .binary_search(&r)
+            .expect("a remaining budget is a quotient of the budget")
     };
-    let mut best_sizes = incumbent_sizes.clone();
-    let mut best_cost = cost_of(&incumbent_sizes);
 
-    // Suffix bounds: the unconstrained best cost of branches i.. .
-    let mut suffix_best = vec![0u64; curves.len() + 1];
+    // best[i * width + slot(r)]: the fewest misses branches `i..` can reach
+    // within `r` states. The row past the last branch is all zero.
+    let width = quotients.len();
+    let mut best = vec![0u64; (curves.len() + 1) * width];
+    // Misses of giving branch `i` `n` of `r` states, the rest optimal.
+    let with_size = |best: &[u64], i: usize, r: u64, n: usize| {
+        curves[i].misses[n - 1].saturating_add(best[(i + 1) * width + slot(r / n as u64)])
+    };
     for i in (0..curves.len()).rev() {
-        suffix_best[i] = suffix_best[i + 1] + curves[i].best();
-    }
-
-    // Depth-first branch and bound.
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        curves: &[BranchCurve],
-        suffix_best: &[u64],
-        i: usize,
-        remaining: u64,
-        partial_cost: u64,
-        sizes: &mut Vec<usize>,
-        best_cost: &mut u64,
-        best_sizes: &mut Vec<usize>,
-    ) {
-        if partial_cost + suffix_best[i] >= *best_cost {
-            return; // bound: cannot improve the incumbent
-        }
-        if i == curves.len() {
-            *best_cost = partial_cost;
-            best_sizes.clone_from(sizes);
-            return;
-        }
-        let max_n = remaining.min(curves[i].misses.len() as u64) as usize;
-        // Try larger sizes first: they tend to reach good incumbents
-        // sooner, tightening the bound.
-        for n in (1..=max_n.max(1)).rev() {
-            sizes.push(n);
-            dfs(
-                curves,
-                suffix_best,
-                i + 1,
-                (remaining / n as u64).max(1),
-                partial_cost + curves[i].misses[n - 1],
-                sizes,
-                best_cost,
-                best_sizes,
-            );
-            sizes.pop();
+        for (q, &r) in quotients.iter().enumerate() {
+            best[i * width + q] = (1..=curves[i].max_size(r))
+                .map(|n| with_size(&best, i, r, n))
+                .min()
+                .expect("one state always fits");
         }
     }
-    let mut sizes = Vec::with_capacity(curves.len());
-    dfs(
-        curves,
-        &suffix_best,
-        0,
-        budget,
-        0,
-        &mut sizes,
-        &mut best_cost,
-        &mut best_sizes,
-    );
+    let total_misses = best[slot(budget)];
 
-    let product = best_sizes.iter().map(|&n| n as u64).product();
+    let greedy = greedy_sizes(curves, budget);
+    let greedy_misses = greedy
+        .iter()
+        .zip(curves)
+        .fold(0u64, |acc, (&n, c)| acc.saturating_add(c.misses[n - 1]));
+    let sizes = if greedy_misses == total_misses {
+        greedy
+    } else {
+        let mut r = budget;
+        (0..curves.len())
+            .map(|i| {
+                let here = best[i * width + slot(r)];
+                let n = (1..=curves[i].max_size(r))
+                    .rev()
+                    .find(|&n| with_size(&best, i, r, n) == here)
+                    .expect("the optimum is reached by some size");
+                r /= n as u64;
+                n
+            })
+            .collect()
+    };
+
     JointAllocation {
         states: curves
             .iter()
-            .zip(&best_sizes)
+            .zip(&sizes)
             .map(|(c, &n)| (c.site, n))
             .collect(),
-        total_misses: best_cost,
-        product,
+        total_misses,
+        product: sizes.iter().map(|&n| n as u64).product(),
     }
+}
+
+/// Left to right, each branch takes its best size within the states the
+/// earlier branches left, the smaller size on a tie.
+fn greedy_sizes(curves: &[BranchCurve], budget: u64) -> Vec<usize> {
+    let mut remaining = budget;
+    curves
+        .iter()
+        .map(|c| {
+            let n = (1..=c.max_size(remaining))
+                .min_by_key(|&n| c.misses[n - 1])
+                .expect("one state always fits");
+            remaining /= n as u64;
+            n
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -224,9 +205,55 @@ mod tests {
         assert_eq!(a.total_misses, 110);
     }
 
+    fn cost(curves: &[BranchCurve], sizes: &[usize]) -> u64 {
+        sizes
+            .iter()
+            .zip(curves)
+            .map(|(&n, c)| c.misses[n - 1])
+            .sum()
+    }
+
+    /// Left to right, each branch at its cheapest size within what the
+    /// earlier ones left, the smaller size on a tie.
+    fn greedy(curves: &[BranchCurve], budget: u64) -> Vec<usize> {
+        let mut remaining = budget;
+        curves
+            .iter()
+            .map(|c| {
+                let cap = remaining.min(c.misses.len() as u64) as usize;
+                let best = c.misses[..cap].iter().min().unwrap();
+                let n = 1 + c.misses.iter().position(|m| m == best).unwrap();
+                remaining /= n as u64;
+                n
+            })
+            .collect()
+    }
+
+    /// Brute force over every size vector: the optimum and the
+    /// lexicographically greatest vector that reaches it.
+    fn lex_greatest_optimum(curves: &[BranchCurve], budget: u64) -> (Vec<usize>, u64) {
+        let mut best: Option<(Vec<usize>, u64)> = None;
+        let mut sizes = vec![1usize; curves.len()];
+        loop {
+            let product: u64 = sizes.iter().map(|&n| n as u64).product();
+            let c = cost(curves, &sizes);
+            let better = best
+                .as_ref()
+                .is_none_or(|(b, bc)| c < *bc || (c == *bc && sizes > *b));
+            if product <= budget && better {
+                best = Some((sizes.clone(), c));
+            }
+            // Next vector in odometer order; done after the last.
+            let Some(i) = (0..sizes.len()).find(|&i| sizes[i] < curves[i].misses.len()) else {
+                return best.unwrap();
+            };
+            sizes[i] += 1;
+            sizes[..i].fill(1);
+        }
+    }
+
     #[test]
     fn exhaustive_agreement_on_random_instances() {
-        // Compare against brute force over all size combinations.
         let mut seed = 0x1357_9bdfu64;
         let mut rand = move |bound: u64| {
             seed ^= seed << 13;
@@ -234,51 +261,84 @@ mod tests {
             seed ^= seed << 17;
             seed % bound
         };
-        for _ in 0..50 {
-            let k = 1 + rand(3) as usize;
+        let (mut greedy_optimal, mut greedy_beaten) = (0, 0);
+        for case in 0..300 {
+            // Narrow miss ranges make equal-cost optima common.
+            let spread = [4, 30, 1000][case % 3];
+            let k = 1 + rand(4) as usize;
             let curves: Vec<BranchCurve> = (0..k)
                 .map(|i| {
-                    let len = 2 + rand(5) as usize;
-                    let mut misses: Vec<u64> = (0..len).map(|_| rand(1000)).collect();
+                    let len = 1 + rand(10) as usize;
+                    let mut misses: Vec<u64> = (0..len).map(|_| rand(spread)).collect();
                     // Profile entry should be the largest-ish to be realistic,
                     // but the algorithm must not rely on it.
-                    misses[0] += 200;
+                    misses[0] += spread / 4;
                     curve(i as u32, &misses)
                 })
                 .collect();
-            let budget = 1 + rand(20);
+            let budget = 1 + rand(if case % 2 == 0 { 20 } else { 512 });
             let got = allocate_joint_states(&curves, budget);
 
-            // Brute force.
-            let mut best = u64::MAX;
-            let mut stack = vec![Vec::<usize>::new()];
-            while let Some(sizes) = stack.pop() {
-                if sizes.len() == k {
-                    let product: u64 = sizes.iter().map(|&n| n as u64).product();
-                    if product <= budget {
-                        let cost: u64 = sizes
-                            .iter()
-                            .zip(&curves)
-                            .map(|(&n, c)| c.misses[n - 1])
-                            .sum();
-                        best = best.min(cost);
-                    }
-                    continue;
-                }
-                let i = sizes.len();
-                for n in 1..=curves[i].misses.len() {
-                    let mut s = sizes.clone();
-                    s.push(n);
-                    // Prune impossible products early to bound work.
-                    let product: u64 = s.iter().map(|&x| x as u64).product();
-                    if product <= budget {
-                        stack.push(s);
-                    }
-                }
-            }
-            assert_eq!(got.total_misses, best, "curves: {curves:?} budget {budget}");
+            let (optimum, total) = lex_greatest_optimum(&curves, budget);
+            let greedy = greedy(&curves, budget);
+            let want = if cost(&curves, &greedy) == total {
+                greedy_optimal += 1;
+                greedy
+            } else {
+                greedy_beaten += 1;
+                optimum
+            };
+            let states: Vec<(BranchId, usize)> = curves
+                .iter()
+                .zip(&want)
+                .map(|(c, &n)| (c.site, n))
+                .collect();
+            assert_eq!(got.states, states, "curves: {curves:?} budget {budget}");
+            assert_eq!(got.total_misses, total);
+            assert_eq!(got.product, want.iter().map(|&n| n as u64).product::<u64>());
             assert!(got.product <= budget);
         }
+        // Both arms of the tie rule are exercised.
+        assert!(greedy_optimal > 0 && greedy_beaten > 0);
+    }
+
+    /// An 18-branch loop of the random-CFG workload (`synth-cfgs`, seed 0):
+    /// 4-entry curves under the 512-state product cap.
+    #[test]
+    fn eighteen_branch_loop_keeps_its_allocation() {
+        let rows: [[u64; 4]; 18] = [
+            [475, 0, 0, 0],
+            [474, 474, 237, 2],
+            [317, 316, 0, 0],
+            [475, 1, 1, 1],
+            [238, 2, 2, 2],
+            [474, 237, 237, 237],
+            [475, 1, 1, 1],
+            [237, 2, 2, 2],
+            [474, 237, 237, 237],
+            [317, 316, 0, 0],
+            [475, 1, 1, 1],
+            [316, 316, 2, 1],
+            [474, 237, 237, 237],
+            [475, 2, 2, 2],
+            [238, 2, 2, 2],
+            [474, 237, 237, 237],
+            [472, 118, 118, 118],
+            [238, 2, 2, 2],
+        ];
+        let curves: Vec<BranchCurve> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, m)| curve(i as u32, m))
+            .collect();
+        let a = allocate_joint_states(&curves, 512);
+        let sizes: Vec<usize> = a.states.iter().map(|&(_, n)| n).collect();
+        assert_eq!(
+            sizes,
+            [2, 1, 1, 2, 1, 2, 2, 1, 2, 1, 2, 1, 2, 2, 1, 1, 2, 1]
+        );
+        assert_eq!(a.total_misses, 3683);
+        assert_eq!(a.product, 512);
     }
 
     #[test]

@@ -552,8 +552,9 @@ fn loop_search(
 /// The paper's §6 joint search, applied where it matters: when several
 /// branches of the *same* loop won machines, their sizes multiply the
 /// loop's replication factor. Re-allocate each branch's machine size with
-/// the branch-and-bound of [`crate::joint::allocate_joint_states`] so the
-/// product stays within [`crate::replicate::MAX_PRODUCT_STATES`] at the
+/// the exact joint search of [`crate::joint::allocate_joint_states`] (a
+/// dynamic program over the remaining budget, where the paper proposed
+/// branch-and-bound) so the product stays within [`crate::replicate::MAX_PRODUCT_STATES`] at the
 /// smallest total misprediction (choosing independently and shedding later
 /// is strictly worse).
 fn rebalance_same_loop_machines(

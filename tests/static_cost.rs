@@ -1,8 +1,9 @@
 //! Differential testing of the static misprediction bound: the bound the
 //! cost model derives by folding the profiling trace through the
 //! replicated control flow must never undercut what the simulator
-//! measures, and on the didactic Figure-1 CFG it must agree *exactly* —
-//! the replay is a faithful abstract execution, not an estimate.
+//! measures, and it must agree *exactly*, site by site, with the shipped
+//! program's own counted misses — the replay is a faithful abstract
+//! execution, not an estimate.
 
 use brepl::core::machine::MachineState;
 use brepl::core::replicate::{apply_plan, BranchMachine, ReplicationPlan};
@@ -12,6 +13,7 @@ use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl::sim::{Machine, RunConfig};
 use brepl::workloads::{all_workloads, Scale};
 use brepl_analysis::static_cost;
+use brepl_bench::fuzz::replay_differential;
 
 #[test]
 fn static_bound_never_undercuts_the_simulator_on_any_workload() {
@@ -37,6 +39,8 @@ fn static_bound_never_undercuts_the_simulator_on_any_workload() {
             report.bound_percent(),
             r.replicated_misprediction_percent
         );
+        replay_differential(&w.module, &w.args, &w.input, &r.program)
+            .unwrap_or_else(|e| panic!("{}: replay is not exact: {e}", w.name));
     }
 }
 
