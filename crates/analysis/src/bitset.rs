@@ -38,11 +38,6 @@ impl BitSet {
         }
     }
 
-    /// The universe size.
-    pub fn universe(&self) -> usize {
-        self.len
-    }
-
     /// Inserts `i`; returns true when it was newly inserted.
     ///
     /// # Panics
@@ -128,19 +123,6 @@ impl BitSet {
         }
     }
 
-    /// True when every element of `self` is in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched universes.
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Iterates over the set elements in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -214,8 +196,6 @@ mod tests {
         d.subtract(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1]);
 
-        assert!(i.is_subset(&a));
-        assert!(!a.is_subset(&b));
         assert!(BitSet::new_empty(10).is_empty());
     }
 

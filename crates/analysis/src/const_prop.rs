@@ -53,14 +53,6 @@ impl AbsVal {
         }
     }
 
-    /// The interval, when the value is a known integer.
-    pub fn as_interval(&self) -> Option<Interval> {
-        match self {
-            AbsVal::Int(iv) => Some(*iv),
-            _ => None,
-        }
-    }
-
     /// Least upper bound.
     fn join(&self, other: &AbsVal) -> AbsVal {
         match (self, other) {
@@ -102,7 +94,7 @@ impl FuncValues {
     /// Replays the block's instructions from its entry environment and
     /// returns the abstract register file at the terminator, or `None`
     /// for unexecutable blocks or a non-converged function.
-    pub fn term_env(&self, func: &Function, block: BlockId) -> Option<Env> {
+    fn term_env(&self, func: &Function, block: BlockId) -> Option<Env> {
         if !self.stats.converged {
             return None;
         }
@@ -114,7 +106,8 @@ impl FuncValues {
     }
 
     /// The abstract value of the block's branch condition at its
-    /// terminator ([`Self::term_env`] + operand evaluation), or `None`
+    /// terminator (the block replayed from its entry environment, then the
+    /// condition operand evaluated), or `None`
     /// when the block is unexecutable, the function did not converge, or
     /// the terminator is not a branch.
     pub fn branch_condition_value(&self, func: &Function, block: BlockId) -> Option<AbsVal> {
@@ -643,13 +636,17 @@ mod tests {
         // up to 100 from the latch increment of a body-capped i).
         let head = BlockId(1);
         let env = v.entry_env(head).unwrap();
-        let iv = env[0].as_interval().expect("i is an integer");
+        let AbsVal::Int(iv) = &env[0] else {
+            panic!("i is an integer: {:?}", env[0])
+        };
         assert!(iv.subset_of(&Interval::range(0, 100)), "head i = {iv}");
         // In the body, the branch-edge refinement caps i at 99, so the
         // duplicated test is provably true.
         let body = BlockId(2);
         let env = v.entry_env(body).unwrap();
-        let iv = env[0].as_interval().unwrap();
+        let AbsVal::Int(iv) = &env[0] else {
+            panic!("i is an integer: {:?}", env[0])
+        };
         assert!(iv.subset_of(&Interval::range(0, 99)), "body i = {iv}");
     }
 

@@ -1,4 +1,4 @@
-//! Static misprediction bound and code-size cost of a replication.
+//! Static misprediction bound of a replication.
 //!
 //! The history fixpoint of [`crate::solve_site_product`] tells us *which*
 //! machine states reach each replica; folding the profiled branch
@@ -50,10 +50,6 @@ pub struct CostReport {
     pub sites: Vec<SiteCost>,
     /// Total branch events replayed.
     pub total_events: u64,
-    /// Size of the original module in IR size units.
-    pub original_size: usize,
-    /// Size of the replicated module in IR size units.
-    pub replicated_size: usize,
 }
 
 impl CostReport {
@@ -68,15 +64,6 @@ impl CostReport {
             0.0
         } else {
             100.0 * self.total_bound() as f64 / self.total_events as f64
-        }
-    }
-
-    /// Code-size growth of the replication in percent (0 = unchanged).
-    pub fn size_growth_percent(&self) -> f64 {
-        if self.original_size == 0 {
-            0.0
-        } else {
-            100.0 * (self.replicated_size as f64 / self.original_size as f64 - 1.0)
         }
     }
 }
@@ -141,7 +128,7 @@ impl fmt::Display for CostError {
 impl Error for CostError {}
 
 /// Folds the profiling `trace` through the replicated control flow,
-/// returning per-site misprediction bounds and the size growth.
+/// returning per-site misprediction bounds.
 ///
 /// `replicated` must carry dense branch sites (post-renumbering) with
 /// `provenance` mapping them back to the original sites the `trace` was
@@ -156,7 +143,6 @@ impl Error for CostError {}
 /// disagree structurally — which, for a trace recorded from the original
 /// module, means the replication changed observable branching behavior.
 pub fn static_cost(
-    original: &Module,
     replicated: &Module,
     provenance: &[BranchId],
     predictions: &StaticPrediction,
@@ -251,8 +237,6 @@ pub fn static_cost(
             })
             .collect(),
         total_events: consumed,
-        original_size: original.size_units(),
-        replicated_size: replicated.size_units(),
     })
 }
 
@@ -302,13 +286,11 @@ mod tests {
         let provenance: Vec<BranchId> = vec![BranchId(0)];
         let mut p = StaticPrediction::with_default(true);
         p.set(BranchId(0), true);
-        let report =
-            static_cost(&m, &m, &provenance, &p, &loop_trace(), "main").expect("replay ok");
+        let report = static_cost(&m, &provenance, &p, &loop_trace(), "main").expect("replay ok");
         assert_eq!(report.total_events, 5);
         assert_eq!(report.total_bound(), 1); // only the exit mispredicts
         assert_eq!(report.sites.len(), 1);
         assert_eq!(report.sites[0].executions, 5);
-        assert_eq!(report.size_growth_percent(), 0.0);
         assert!((report.bound_percent() - 20.0).abs() < 1e-9);
     }
 
@@ -356,7 +338,7 @@ mod tests {
     fn replay_enters_functions_at_their_entry_block() {
         let m = entries_past_block_zero();
         let p = StaticPrediction::with_default(true);
-        let report = static_cost(&m, &m, &[BranchId(0)], &p, &loop_trace(), "main")
+        let report = static_cost(&m, &[BranchId(0)], &p, &loop_trace(), "main")
             .expect("replay follows the entry blocks");
         assert_eq!(report.total_events, 5);
         assert_eq!(report.total_bound(), 1);
@@ -371,7 +353,7 @@ mod tests {
         let mut short = loop_trace();
         short.truncate(3);
         assert_eq!(
-            static_cost(&m, &m, &provenance, &p, &short, "main"),
+            static_cost(&m, &provenance, &p, &short, "main"),
             Err(CostError::TraceExhausted {
                 at_site: BranchId(0)
             })
@@ -383,7 +365,7 @@ mod tests {
             taken: false,
         });
         assert_eq!(
-            static_cost(&m, &m, &provenance, &p, &long, "main"),
+            static_cost(&m, &provenance, &p, &long, "main"),
             Err(CostError::TraceLeftover { remaining: 1 })
         );
 
@@ -393,7 +375,7 @@ mod tests {
             taken: true,
         });
         assert_eq!(
-            static_cost(&m, &m, &provenance, &p, &wrong_site, "main"),
+            static_cost(&m, &provenance, &p, &wrong_site, "main"),
             Err(CostError::SiteMismatch {
                 expected: BranchId(0),
                 found: BranchId(9),
@@ -401,7 +383,7 @@ mod tests {
         );
 
         assert_eq!(
-            static_cost(&m, &m, &provenance, &p, &loop_trace(), "nope"),
+            static_cost(&m, &provenance, &p, &loop_trace(), "nope"),
             Err(CostError::UnknownEntry("nope".into()))
         );
     }
@@ -418,7 +400,7 @@ mod tests {
         m.push_function(b.finish());
         let p = StaticPrediction::with_default(true);
         assert_eq!(
-            static_cost(&m, &m, &[], &p, &Trace::new(), "main"),
+            static_cost(&m, &[], &p, &Trace::new(), "main"),
             Err(CostError::Runaway)
         );
     }

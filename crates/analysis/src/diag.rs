@@ -361,21 +361,22 @@ pub enum LintLevel {
 /// warning it wants to gate on:
 ///
 /// ```
-/// use brepl_analysis::{DiagCode, LintConfig, LintLevel, Severity};
+/// use brepl_analysis::{AnalysisDiag, DiagCode, LintConfig, LintLevel};
+/// use brepl_ir::{FuncId, Loc};
 ///
 /// let cfg = LintConfig::new()
 ///     .set(DiagCode::DeadStore, LintLevel::Allow)
 ///     .set(DiagCode::UnreachableReplica, LintLevel::Error);
-/// assert_eq!(cfg.effective_severity(DiagCode::DeadStore), None);
-/// assert_eq!(
-///     cfg.effective_severity(DiagCode::UnreachableReplica),
-///     Some(Severity::Error)
-/// );
-/// // Untouched codes keep their defaults.
-/// assert_eq!(
-///     cfg.effective_severity(DiagCode::PredictionMismatch),
-///     Some(Severity::Error)
-/// );
+/// let diag = |code| AnalysisDiag::new(code, Loc::function(FuncId(0)), "");
+/// let (errors, warnings) = cfg.partition(vec![
+///     diag(DiagCode::DeadStore),
+///     diag(DiagCode::UnreachableReplica),
+///     // Untouched codes keep their defaults.
+///     diag(DiagCode::PredictionMismatch),
+/// ]);
+/// let codes: Vec<DiagCode> = errors.iter().map(|d| d.code).collect();
+/// assert_eq!(codes, [DiagCode::UnreachableReplica, DiagCode::PredictionMismatch]);
+/// assert!(warnings.is_empty());
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LintConfig {
@@ -397,7 +398,7 @@ impl LintConfig {
 
     /// The effective severity of `code` under this config; `None` means
     /// the code is suppressed.
-    pub fn effective_severity(&self, code: DiagCode) -> Option<Severity> {
+    fn effective_severity(&self, code: DiagCode) -> Option<Severity> {
         match self.levels[code.index()] {
             None => Some(code.severity()),
             Some(LintLevel::Allow) => None,

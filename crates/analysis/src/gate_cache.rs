@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use brepl_ir::{BranchId, FuncId, Module};
+use brepl_ir::{BranchId, FuncId, Lanes, Module};
 use brepl_predict::StaticPrediction;
 
 use crate::diag::AnalysisDiag;
@@ -41,31 +41,6 @@ use crate::history::site_history_diags;
 use crate::product::{HistorySpec, MachineTable};
 use crate::replica_map::{ReplicaFuncMap, ReplicaMap};
 use crate::validate::validate_one_function;
-
-/// Dual-lane FNV-1a accumulator — the same construction as the module
-/// fingerprint, rebuilt here for the cache keys.
-struct Lanes {
-    a: u64,
-    b: u64,
-}
-
-impl Lanes {
-    fn new() -> Self {
-        Lanes {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn mix(&mut self, x: u64) {
-        self.a = (self.a ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-        self.b = (self.b ^ x.rotate_left(32)).wrapping_mul(0x0000_01b3_0000_0193);
-    }
-
-    fn finish(self) -> (u64, u64) {
-        (self.a, self.b)
-    }
-}
 
 type Key = (u64, u64);
 

@@ -78,13 +78,13 @@ impl Interval {
         }
     }
 
-    /// The lower bound as a concrete `i64` (sentinels clamp to the range
-    /// edge, which is exact: every runtime value is an `i64`).
-    pub fn lo_clamped(&self) -> i64 {
+    /// The lower bound as a concrete `i64` (see [`Self::hi_clamped`]).
+    fn lo_clamped(&self) -> i64 {
         self.lo.clamp(i64::MIN as i128, i64::MAX as i128) as i64
     }
 
-    /// The upper bound as a concrete `i64` (see [`Self::lo_clamped`]).
+    /// The upper bound as a concrete `i64` (sentinels clamp to the range
+    /// edge, which is exact: every runtime value is an `i64`).
     pub fn hi_clamped(&self) -> i64 {
         self.hi.clamp(i64::MIN as i128, i64::MAX as i128) as i64
     }

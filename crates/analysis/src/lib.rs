@@ -22,8 +22,8 @@
 //!   `ReplicaMap`, so a transform bug that corrupts code and witness
 //!   consistently still gets caught;
 //! * a **static cost model** ([`static_cost`]) folding the profiling trace
-//!   through the replicated control flow for per-site misprediction bounds
-//!   and code-size growth;
+//!   through the replicated control flow for per-site misprediction
+//!   bounds;
 //! * a diagnostics layer ([`AnalysisDiag`]) with stable codes `BR001`
 //!   through `BR012`, [`lint_module`] for the warning-severity lints, and
 //!   [`LintConfig`] for per-code severity overrides.
@@ -79,15 +79,15 @@ pub use freq::{
 pub use gate_cache::{check_history_cached, validate_replication_cached, GateCache};
 pub use history::check_history;
 pub use interval::Interval;
-pub use lint::{dead_store_diags, lint_module, unreachable_diags, use_before_def_diags};
+pub use lint::{lint_module, unreachable_diags};
 pub use liveness::{liveness, term_uses, Liveness};
 pub use product::{
     solve_site_product, HistorySpec, MachineTable, ProductSolution, TableState, MAX_PRODUCT_NODES,
 };
 pub use replica_map::{ReplicaFuncMap, ReplicaMap};
 pub use solver::{
-    default_solve_budget, solve, solve_metered, DataflowAnalysis, DataflowSolution, Direction,
-    GenKill, Meet, SolveStats,
+    default_solve_budget, solve, DataflowAnalysis, DataflowSolution, Direction, GenKill, Meet,
+    SolveStats,
 };
 pub use uninit::{use_before_def, UseBeforeDef};
 pub use validate::validate_replication;

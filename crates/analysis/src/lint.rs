@@ -1,6 +1,7 @@
 //! Lints: warning-severity findings over a single module, built on the
-//! dataflow analyses. These run on replicated modules in the pipeline (a
-//! rename or rewiring bug usually shows up here first) but are meaningful
+//! dataflow analyses. The pipeline does not run them; the `gates` bench
+//! bin runs [`lint_module`] on every shipped program (a rename or rewiring
+//! bug in replication usually shows up here first). They are meaningful
 //! on any module.
 
 use brepl_cfg::Cfg;
@@ -30,7 +31,7 @@ pub fn unreachable_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
 /// allocations) are exempt — their value is in the effect — and so are
 /// potentially-trapping instructions (loads, divisions), whose removal
 /// could change behavior. Unreachable blocks are skipped.
-pub fn dead_store_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
+fn dead_store_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
     let cfg = Cfg::new(func);
     let live = liveness(func, &cfg);
     let reachable = cfg.reachable();
@@ -91,7 +92,7 @@ fn is_removable(inst: &brepl_ir::Inst) -> bool {
 }
 
 /// `BR003` for every read of a not-definitely-assigned register.
-pub fn use_before_def_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
+fn use_before_def_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
     let cfg = Cfg::new(func);
     use_before_def(func, &cfg)
         .into_iter()

@@ -41,12 +41,6 @@ impl ReplicaFuncMap {
     pub fn first_origin(&self, b: BlockId) -> Option<BlockId> {
         self.origins.get(b.index()).and_then(|c| c.first().copied())
     }
-
-    /// The last original block of replica block `b`'s chain, if the map
-    /// covers `b`.
-    pub fn last_origin(&self, b: BlockId) -> Option<BlockId> {
-        self.origins.get(b.index()).and_then(|c| c.last().copied())
-    }
 }
 
 /// Origin information for every function of a replicated module, indexed
@@ -88,7 +82,6 @@ mod tests {
         let fm = &map.functions[0];
         assert_eq!(fm.origins, vec![vec![BlockId(0)], vec![BlockId(1)]]);
         assert_eq!(fm.first_origin(BlockId(1)), Some(BlockId(1)));
-        assert_eq!(fm.last_origin(BlockId(1)), Some(BlockId(1)));
         assert_eq!(fm.first_origin(BlockId(9)), None);
         assert_eq!(fm.machine_predictions, vec![None, None]);
     }

@@ -55,7 +55,7 @@ pub struct DataflowSolution<F> {
     pub exit: Vec<F>,
 }
 
-/// Convergence accounting returned by [`solve_metered`].
+/// Convergence accounting of a step-capped fixpoint run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SolveStats {
     /// Block-processings performed (worklist pops).
@@ -82,8 +82,7 @@ pub fn default_solve_budget(n_blocks: usize) -> u64 {
 ///
 /// Termination requires the usual conditions: a finite-height lattice and a
 /// monotone transfer function. All analyses in this crate satisfy both; as
-/// a backstop, iteration is capped at [`default_solve_budget`] steps (see
-/// [`solve_metered`] for the capped variant with convergence accounting).
+/// a backstop, iteration is capped at [`default_solve_budget`] steps.
 pub fn solve<A: DataflowAnalysis>(cfg: &Cfg, analysis: &A) -> DataflowSolution<A::Fact> {
     solve_metered(cfg, analysis, default_solve_budget(cfg.len())).0
 }
@@ -91,7 +90,7 @@ pub fn solve<A: DataflowAnalysis>(cfg: &Cfg, analysis: &A) -> DataflowSolution<A
 /// [`solve`] with an explicit step budget, reporting whether the worklist
 /// actually drained. Each worklist pop costs one step; when `max_steps`
 /// runs out the queue is abandoned and `converged` is false.
-pub fn solve_metered<A: DataflowAnalysis>(
+fn solve_metered<A: DataflowAnalysis>(
     cfg: &Cfg,
     analysis: &A,
     max_steps: u64,
@@ -207,11 +206,6 @@ impl GenKill {
             kill: vec![BitSet::new_empty(domain); n_blocks],
             domain,
         }
-    }
-
-    /// The fact universe size.
-    pub fn domain(&self) -> usize {
-        self.domain
     }
 }
 

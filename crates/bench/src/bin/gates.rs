@@ -118,7 +118,6 @@ fn gate(w: &Workload) -> Result<Row, String> {
         .map_err(|e| format!("static pipeline: {e}"))?;
     let shipped = &r.program;
     let cost = static_cost(
-        &w.module,
         &shipped.module,
         &shipped.provenance,
         &shipped.predictions,

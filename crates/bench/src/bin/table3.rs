@@ -113,8 +113,8 @@ fn main() {
         .zip(&classified)
         .zip(&preps)
         .map(|((_, c), prep)| {
-            // One shared menu per site: entry n-2 equals the standalone
-            // best_exit_machine(n, ..) result at every budget.
+            // One shared menu per site: entry n-2 is the best exit machine
+            // under budget n.
             let mut totals = [0u64; 11];
             let mut wrongs = [0u64; 11];
             for &site in &c.exit {

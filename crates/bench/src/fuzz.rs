@@ -68,7 +68,6 @@ pub fn replay_differential(
         .map_err(|e| format!("original run: {e}"))?
         .trace;
     let report = static_cost(
-        original,
         &program.module,
         &program.provenance,
         &program.predictions,

@@ -9,7 +9,7 @@
 //! object builder plus an array joiner covers everything.
 
 /// Escapes `s` for inclusion inside a JSON string literal.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -37,7 +37,7 @@ use brepl_workloads::{all_workloads, Scale, Workload};
 /// Parses a `BREPL_SCALE` value: unset is `small`, `small` and `full`
 /// name their scale, and anything else is an error naming the allowed
 /// values.
-pub fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
+fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
     match value {
         None | Some("small") => Ok(Scale::Small),
         Some("full") => Ok(Scale::Full),
@@ -47,8 +47,8 @@ pub fn parse_scale(value: Option<&str>) -> Result<Scale, String> {
     }
 }
 
-/// The `BREPL_SCALE` value naming `scale` ([`parse_scale`]'s inverse),
-/// as the `--json` documents record it.
+/// The `BREPL_SCALE` value naming `scale`, as the `--json` documents
+/// record it.
 pub fn scale_name(scale: Scale) -> &'static str {
     match scale {
         Scale::Small => "small",
@@ -56,9 +56,9 @@ pub fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
-/// Reads the scale from `BREPL_SCALE` (see [`parse_scale`]), exiting
-/// with status 2 on a malformed value instead of silently running the
-/// small scale.
+/// Reads the scale from `BREPL_SCALE` (unset or `small` is
+/// [`Scale::Small`], `full` is [`Scale::Full`]), exiting with status 2 on
+/// any other value instead of silently running the small scale.
 pub fn scale_from_env() -> Scale {
     let value = std::env::var_os("BREPL_SCALE").map(|v| v.to_string_lossy().into_owned());
     parse_scale(value.as_deref()).unwrap_or_else(|msg| {
@@ -71,7 +71,7 @@ pub fn scale_from_env() -> Scale {
 /// when `--json` is the only flag it takes: no arguments is text mode,
 /// `--json` is JSON mode, and anything else is an error naming the
 /// argument.
-pub fn parse_json_flag<S: AsRef<str>>(args: &[S]) -> Result<bool, String> {
+fn parse_json_flag<S: AsRef<str>>(args: &[S]) -> Result<bool, String> {
     let mut json = false;
     for arg in args.iter().map(AsRef::as_ref) {
         match arg {
@@ -82,9 +82,9 @@ pub fn parse_json_flag<S: AsRef<str>>(args: &[S]) -> Result<bool, String> {
     Ok(json)
 }
 
-/// Reads `--json` from the process arguments (see [`parse_json_flag`]),
-/// printing the usage of `bin` and exiting with status 2 on anything
-/// else.
+/// Reads `--json` from the process arguments, for a bin whose only flag
+/// it is, printing the usage of `bin` and exiting with status 2 on
+/// anything else.
 pub fn json_flag(bin: &str) -> bool {
     let args: Vec<String> = std::env::args().skip(1).collect();
     parse_json_flag(&args).unwrap_or_else(|msg| {
@@ -111,7 +111,7 @@ pub struct ProfiledWorkload {
 /// [`brepl_core::engine`] workers (`BREPL_THREADS` overrides the count);
 /// results come back in suite order, bit-identical to a serial run. On
 /// failure the error names every workload that did not run.
-pub fn try_profile_suite(scale: Scale) -> Result<Vec<ProfiledWorkload>, String> {
+fn try_profile_suite(scale: Scale) -> Result<Vec<ProfiledWorkload>, String> {
     let workloads = all_workloads(scale);
     let profiled = brepl_core::par_map(&workloads, |workload| {
         workload
@@ -144,9 +144,10 @@ pub fn try_profile_suite(scale: Scale) -> Result<Vec<ProfiledWorkload>, String> 
         .collect())
 }
 
-/// [`try_profile_suite`], exiting the process cleanly on failure — the
-/// entry the table/figure bins use so a bad workload prints one error
-/// line instead of aborting mid-table with a backtrace.
+/// Runs the whole suite once and keeps the traces, exiting the process
+/// cleanly on failure — the entry the table/figure bins use so a bad
+/// workload prints one error line instead of aborting mid-table with a
+/// backtrace.
 pub fn profile_suite(scale: Scale) -> Vec<ProfiledWorkload> {
     try_profile_suite(scale).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");

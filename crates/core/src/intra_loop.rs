@@ -131,14 +131,6 @@ impl IntraLoopSearch {
         }
         best
     }
-
-    /// Convenience: the best machine with *at most* `max_states` states.
-    pub fn search_best(&self, table: &PatternTable) -> Option<SearchResult> {
-        self.search(table)
-            .into_iter()
-            .flatten()
-            .max_by_key(|r| r.correct)
-    }
 }
 
 #[cfg(test)]
@@ -231,12 +223,17 @@ mod tests {
     }
 
     #[test]
-    fn search_best_picks_global_optimum() {
+    fn search_reaches_the_global_optimum() {
         let dirs: Vec<bool> = (0..3000).map(|i| i % 3 != 2).collect();
         let pts = table_for(&dirs);
         let table = pts.site(BranchId(0)).unwrap();
         let search = IntraLoopSearch::new(5, 9);
-        let best = search.search_best(table).unwrap();
+        let best = search
+            .search(table)
+            .into_iter()
+            .flatten()
+            .max_by_key(|r| r.correct)
+            .unwrap();
         assert!(best.mispredictions() <= 9);
     }
 

@@ -34,12 +34,6 @@ use crate::pattern::HistPattern;
 /// # Panics
 ///
 /// Panics unless `2 <= n <= 10`.
-pub fn exit_chain(n: usize, table: &PatternTable) -> StateMachine {
-    exit_chain_with(n, &table.suffix_aggregate(table_bits(table)))
-}
-
-/// [`exit_chain`] against a precomputed suffix aggregate — identical
-/// machine, no per-state table scans.
 fn exit_chain_with(n: usize, agg: &SuffixAggregate<'_>) -> StateMachine {
     assert!((2..=10).contains(&n), "chain length must be in 2..=10");
     let mut patterns = Vec::with_capacity(n);
@@ -54,9 +48,9 @@ fn exit_chain_with(n: usize, agg: &SuffixAggregate<'_>) -> StateMachine {
         .expect("chain pattern sets always derive valid machines")
 }
 
-/// Builds the oscillating-tail variant: like [`exit_chain`] but the two
-/// longest states alternate on taken, capturing even/odd iteration counts.
-/// Requires `n >= 3` so two tail states exist.
+/// Builds the oscillating-tail variant: like [`exit_chain_with`] but the
+/// two longest states alternate on taken, capturing even/odd iteration
+/// counts. Requires `n >= 3` so two tail states exist.
 ///
 /// Predictions for the two tail states are taken from the suffix counts of
 /// `x·1^(n-2)` patterns split by one *older* bit, which is where the parity
@@ -65,12 +59,6 @@ fn exit_chain_with(n: usize, agg: &SuffixAggregate<'_>) -> StateMachine {
 /// # Panics
 ///
 /// Panics unless `3 <= n <= 10`.
-pub fn exit_oscillator(n: usize, table: &PatternTable) -> StateMachine {
-    exit_oscillator_with(n, &table.suffix_aggregate(table_bits(table)))
-}
-
-/// [`exit_oscillator`] against a precomputed suffix aggregate — identical
-/// machine, no per-state table scans.
 fn exit_oscillator_with(n: usize, agg: &SuffixAggregate<'_>) -> StateMachine {
     assert!((3..=10).contains(&n), "oscillator needs 3..=10 states");
     // Spine: 0, 01, 011, ..., 01^(n-3); tails A = 01^(n-2), B = 11^(n-2).
@@ -115,31 +103,22 @@ fn exit_oscillator_with(n: usize, agg: &SuffixAggregate<'_>) -> StateMachine {
 }
 
 /// Scores both loop-exit shapes against a site's outcome stream — in both
-/// polarities — and returns the best. `outcomes` must be the branch's
-/// directions in trace order; `table` the site's local-history pattern
-/// table.
+/// polarities — for every budget `2..=max` in one shared pass: index
+/// `n - 2` of the result is the best machine under budget `n`. `outcomes`
+/// must be the branch's directions in trace order; `table` the site's
+/// local-history pattern table.
 ///
 /// Loop-exit machines assume "taken = keep iterating". Branches whose
 /// *taken* direction exits the loop are handled by building the chain on
 /// the complemented outcome stream and then complementing the machine back
-/// ([`StateMachine::complemented`]), so the returned machine always runs on
-/// real outcomes.
-pub fn best_exit_machine(n: usize, table: &PatternTable, outcomes: &PackedStream) -> SearchResult {
-    exit_machine_menu(n, table, outcomes)
-        .pop()
-        .expect("at least one candidate machine exists")
-}
-
-/// [`best_exit_machine`] for every budget `2..=max` in one shared pass:
-/// index `n - 2` of the result is the best machine under budget `n`.
+/// ([`StateMachine::complemented`]), so the returned machines always run
+/// on real outcomes.
 ///
 /// The budgets nest — budget `n`'s candidate list is budget `n - 1`'s plus
-/// the size-`n` shapes — so one inverted stream, one inverted table and one
-/// simulation per shape serve every budget. Selection pipelines ask for the
-/// whole per-size menu anyway (§6 joint rebalancing), which previously
-/// rebuilt all of that per budget. Candidate order and the keep-first
-/// tie-break are preserved exactly, so each entry is bit-identical to the
-/// standalone [`best_exit_machine`] call at that budget.
+/// the size-`n` shapes — so one inverted table and one simulation per
+/// shape serve every budget. Selection pipelines ask for the whole
+/// per-size menu (§6 joint rebalancing). Within a budget the first of
+/// equally good candidates wins.
 pub fn exit_machine_menu(
     max: usize,
     table: &PatternTable,
@@ -147,7 +126,7 @@ pub fn exit_machine_menu(
 ) -> Vec<SearchResult> {
     assert!((2..=10).contains(&max), "budget must be in 2..=10");
     let total = outcomes.len() as u64;
-    let bits = table_bits(table);
+    let bits = TABLE_BITS;
     // The inverted-polarity table is a complement-swap of the original
     // (plus a warmup correction) — no second walk over the stream.
     let warmup: Vec<bool> = outcomes.iter().take(bits as usize).collect();
@@ -197,19 +176,10 @@ pub fn exit_machine_menu(
     menu
 }
 
-/// The history length used when rebuilding tables for the inverted
-/// polarity. Pattern tables do not expose their history length, so exit
-/// machines rebuild at the paper's 9 bits — more than any chain needs.
-fn table_bits(_table: &PatternTable) -> u32 {
-    9
-}
-
-/// Helper for tests and diagnostics: the profile (1-state) baseline on an
-/// outcome stream.
-pub fn profile_correct(outcomes: &PackedStream) -> u64 {
-    let taken = outcomes.count_taken();
-    taken.max(outcomes.len() as u64 - taken)
-}
+/// The history length of the inverted-polarity table. Pattern tables do
+/// not expose their history length, so exit machines rebuild at the
+/// paper's 9 bits — more than any chain needs.
+const TABLE_BITS: u32 = 9;
 
 #[cfg(test)]
 mod tests {
@@ -233,6 +203,25 @@ mod tests {
         dirs.iter().copied().collect()
     }
 
+    /// The profile (1-state) baseline on an outcome stream.
+    fn profile_correct(outcomes: &PackedStream) -> u64 {
+        let taken = outcomes.count_taken();
+        taken.max(outcomes.len() as u64 - taken)
+    }
+
+    fn chain(n: usize, table: &PatternTable) -> StateMachine {
+        exit_chain_with(n, &table.suffix_aggregate(TABLE_BITS))
+    }
+
+    fn oscillator(n: usize, table: &PatternTable) -> StateMachine {
+        exit_oscillator_with(n, &table.suffix_aggregate(TABLE_BITS))
+    }
+
+    /// The best machine under budget `n`: the last entry of the menu.
+    fn best(n: usize, table: &PatternTable, outcomes: &PackedStream) -> SearchResult {
+        exit_machine_menu(n, table, outcomes).pop().unwrap()
+    }
+
     /// Loop running exactly k iterations each activation: k-1 taken then
     /// one not-taken.
     fn fixed_count_loop(k: usize, activations: usize) -> Vec<bool> {
@@ -250,7 +239,7 @@ mod tests {
         let dirs = fixed_count_loop(4, 200);
         let pts = table_for(&dirs);
         let table = pts.site(BranchId(0)).unwrap();
-        let m = exit_chain(4, table);
+        let m = chain(4, table);
         assert_eq!(m.len(), 4);
         // 0 -> 01 -> 011 -> 111(self-loop) and every not-taken returns to 0.
         let pat: Vec<String> = m.states().iter().map(|s| s.pattern.to_string()).collect();
@@ -270,7 +259,7 @@ mod tests {
         let dirs = fixed_count_loop(4, 500);
         let pts = table_for(&dirs);
         let table = pts.site(BranchId(0)).unwrap();
-        let best = best_exit_machine(4, table, &packed(&dirs));
+        let best = best(4, table, &packed(&dirs));
         // Profile gets exactly 1/4 wrong; the chain should be perfect
         // modulo warmup.
         assert!(best.mispredictions() <= 1);
@@ -282,8 +271,8 @@ mod tests {
         let dirs = fixed_count_loop(8, 300);
         let pts = table_for(&dirs);
         let table = pts.site(BranchId(0)).unwrap();
-        let two = best_exit_machine(2, table, &packed(&dirs));
-        let eight = best_exit_machine(8, table, &packed(&dirs));
+        let two = best(2, table, &packed(&dirs));
+        let eight = best(8, table, &packed(&dirs));
         assert!(eight.correct >= two.correct);
         // 2 states on an 8-iteration loop: predicts "keep going"
         // everywhere, missing each exit once, like profile.
@@ -304,9 +293,9 @@ mod tests {
         }
         let pts = table_for(&dirs);
         let table = pts.site(BranchId(0)).unwrap();
-        let chain = exit_chain(3, table);
+        let chain = chain(3, table);
         let (chain_c, _) = chain.simulate(dirs.iter().copied());
-        let osc = exit_oscillator(3, table);
+        let osc = oscillator(3, table);
         let (osc_c, _) = osc.simulate(dirs.iter().copied());
         // The 3-state oscillator tracks parity of iterations; it should
         // beat the plain 3-state chain here.
@@ -314,7 +303,7 @@ mod tests {
             osc_c >= chain_c,
             "oscillator {osc_c} should be >= chain {chain_c}"
         );
-        let best = best_exit_machine(3, table, &packed(&dirs));
+        let best = best(3, table, &packed(&dirs));
         assert_eq!(best.correct, osc_c.max(chain_c));
     }
 
@@ -324,7 +313,7 @@ mod tests {
         let dirs: Vec<bool> = (0..1200).map(|i| i % 6 == 5).collect();
         let pts = table_for(&dirs);
         let table = pts.site(BranchId(0)).unwrap();
-        let best = best_exit_machine(6, table, &packed(&dirs));
+        let best = best(6, table, &packed(&dirs));
         let profile_wrong = dirs.len() as u64 - profile_correct(&packed(&dirs));
         assert!(best.mispredictions() < profile_wrong);
     }
@@ -335,6 +324,6 @@ mod tests {
         let dirs = fixed_count_loop(2, 10);
         let pts = table_for(&dirs);
         let table = pts.site(BranchId(0)).unwrap();
-        let _ = exit_chain(1, table);
+        let _ = chain(1, table);
     }
 }

@@ -53,7 +53,10 @@ impl StateMachine {
     }
 
     /// Derives a machine from a set of history patterns with
-    /// longest-suffix-match semantics, taking predictions from `table`.
+    /// longest-suffix-match semantics, taking predictions from the suffix
+    /// counts of a precomputed [`SuffixAggregate`] (one table scan
+    /// amortized over every query: searches build hundreds of machines
+    /// from the same table).
     ///
     /// The transition from state `p` on outcome `b` appends `b` as the
     /// newest outcome and selects the longest pattern in the set that is a
@@ -66,25 +69,10 @@ impl StateMachine {
     /// (the machine starts with empty history, which reads as "not taken"
     /// everywhere), falling back to state 0.
     ///
-    /// Predictions come from [`PatternTable::suffix_counts`]: each state
-    /// predicts the majority direction among histories ending with its
-    /// pattern. States with no profile data predict taken.
-    pub fn from_patterns(patterns: &[HistPattern], table: &PatternTable) -> Option<Self> {
-        Self::from_patterns_counted(patterns, |p| table.suffix_counts(p.bits(), p.len()))
-    }
-
-    /// [`StateMachine::from_patterns`] with the suffix counts served by a
-    /// precomputed [`SuffixAggregate`] — identical result, one table scan
-    /// amortized over every query (searches build hundreds of machines
-    /// from the same table).
+    /// Each state predicts the majority direction among histories ending
+    /// with its pattern ([`PatternTable::suffix_counts`]). States with no
+    /// profile data predict taken.
     pub fn from_patterns_with(patterns: &[HistPattern], agg: &SuffixAggregate<'_>) -> Option<Self> {
-        Self::from_patterns_counted(patterns, |p| agg.counts(p.bits(), p.len()))
-    }
-
-    fn from_patterns_counted(
-        patterns: &[HistPattern],
-        counts_of: impl Fn(HistPattern) -> SiteCounts,
-    ) -> Option<Self> {
         if patterns.is_empty() {
             return None;
         }
@@ -115,7 +103,7 @@ impl StateMachine {
             };
             let on_taken = next(true)?;
             let on_not_taken = next(false)?;
-            let counts = counts_of(p);
+            let counts = agg.counts(p.bits(), p.len());
             let predict = if counts.total() == 0 {
                 true
             } else {
@@ -223,16 +211,6 @@ impl StateMachine {
             state = self.next(state, taken);
         }
         (correct, total)
-    }
-
-    /// Word-at-a-time [`StateMachine::simulate`] over a packed stream.
-    ///
-    /// Returns exactly `self.simulate(outcomes.iter())` — bit-identical
-    /// counts — but steps the machine eight outcomes at a time through a
-    /// precomputed (state × outcome-byte) table when the stream is long
-    /// enough to amortize building it.
-    pub fn simulate_packed(&self, outcomes: &PackedStream) -> (u64, u64) {
-        simulate_packed_many(std::slice::from_ref(self), outcomes)[0]
     }
 
     /// Precomputed chunk-transition table: entry `(state << 8) | byte`
@@ -377,23 +355,6 @@ impl StateMachine {
             initial: self.initial,
         }
     }
-
-    /// Human-readable description like `"{0, 01, 011, 111}"`.
-    pub fn describe(&self) -> String {
-        let mut s = String::from("{");
-        for (i, st) in self.states.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{}=>{}",
-                st.pattern,
-                if st.predict { 'T' } else { 'N' }
-            ));
-        }
-        s.push('}');
-        s
-    }
 }
 
 /// Chunked evaluation needs state indices to fit a byte.
@@ -487,6 +448,10 @@ mod tests {
         PatternTableSet::build(&t, HistoryKind::Local, bits)
     }
 
+    fn machine_of(patterns: &[HistPattern], table: &PatternTable) -> Option<StateMachine> {
+        StateMachine::from_patterns_with(patterns, &table.suffix_aggregate(9))
+    }
+
     fn alternating(n: usize) -> Vec<bool> {
         (0..n).map(|i| i % 2 == 0).collect()
     }
@@ -541,7 +506,6 @@ mod tests {
                         m.simulate(dirs.iter().copied()),
                         "states = {n_states}, len = {len}"
                     );
-                    assert_eq!(r, m.simulate_packed(&packed));
                 }
             }
         }
@@ -558,7 +522,7 @@ mod tests {
             HistPattern::parse("0").unwrap(),
             HistPattern::parse("1").unwrap(),
         ];
-        let m = StateMachine::from_patterns(&patterns, table).unwrap();
+        let m = machine_of(&patterns, table).unwrap();
         assert_eq!(m.len(), 2);
         assert!(m.is_strongly_connected());
         // State "0": last time not taken -> predict taken. State "1": the
@@ -584,7 +548,7 @@ mod tests {
             HistPattern::parse("01").unwrap(),
             HistPattern::parse("11").unwrap(),
         ];
-        let m = StateMachine::from_patterns(&patterns, table).unwrap();
+        let m = machine_of(&patterns, table).unwrap();
         let idx = |s: &str| {
             m.states()
                 .iter()
@@ -611,7 +575,7 @@ mod tests {
             HistPattern::parse("0").unwrap(),
             HistPattern::parse("01").unwrap(),
         ];
-        assert!(StateMachine::from_patterns(&patterns, table).is_none());
+        assert!(machine_of(&patterns, table).is_none());
     }
 
     #[test]
@@ -619,7 +583,7 @@ mod tests {
         let dirs = alternating(10);
         let pts = table_for(&dirs, 9);
         let table = pts.site(BranchId(0)).unwrap();
-        assert!(StateMachine::from_patterns(&[], table).is_none());
+        assert!(machine_of(&[], table).is_none());
     }
 
     #[test]
@@ -633,7 +597,7 @@ mod tests {
             HistPattern::parse("01").unwrap(),
             HistPattern::parse("11").unwrap(),
         ];
-        let m = StateMachine::from_patterns(&patterns, table).unwrap();
+        let m = machine_of(&patterns, table).unwrap();
         let (sc, st) = m.simulate(dirs.iter().copied());
         let (pc, pt) = m.score_by_partition(table);
         assert_eq!(st, pt);
@@ -668,7 +632,7 @@ mod tests {
         let dirs: Vec<bool> = (0..600).map(|i| i % 3 != 2).collect();
         let pts = table_for(&dirs, 9);
         let table = pts.site(BranchId(0)).unwrap();
-        let m = StateMachine::from_patterns(
+        let m = machine_of(
             &[
                 HistPattern::parse("0").unwrap(),
                 HistPattern::parse("01").unwrap(),
@@ -700,23 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn describe_is_informative() {
-        let dirs = alternating(10);
-        let pts = table_for(&dirs, 9);
-        let table = pts.site(BranchId(0)).unwrap();
-        let m = StateMachine::from_patterns(
-            &[
-                HistPattern::parse("0").unwrap(),
-                HistPattern::parse("1").unwrap(),
-            ],
-            table,
-        )
-        .unwrap();
-        let d = m.describe();
-        assert!(d.contains('0') && d.contains('1'));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one state")]
     fn from_states_rejects_empty() {
         let _ = StateMachine::from_states(vec![], 0);
@@ -727,7 +674,7 @@ mod tests {
         let dirs: Vec<bool> = (0..500).map(|i| i % 3 != 2).collect();
         let pts = table_for(&dirs, 9);
         let table = pts.site(BranchId(0)).unwrap();
-        let m = StateMachine::from_patterns(
+        let m = machine_of(
             &[
                 HistPattern::parse("0").unwrap(),
                 HistPattern::parse("01").unwrap(),

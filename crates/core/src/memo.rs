@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use brepl_cfg::BranchClass;
+use brepl_ir::Lanes;
 
 use crate::machine::StateMachine;
 use crate::select::Selection;
@@ -101,42 +102,16 @@ fn memo() -> &'static Memo {
 }
 
 /// Canonical 128-bit fingerprint of a branch's outcome stream.
-pub fn fingerprint_outcomes(outcomes: &[bool]) -> (u64, u64) {
-    let mut a = 0xcbf2_9ce4_8422_2325u64;
-    let mut b = 0x6c62_272e_07bb_0142u64;
-    let mut mix = |x: u64| {
-        a = (a ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-        b = (b ^ x.rotate_left(32)).wrapping_mul(0x0000_01b3_0000_0193);
-    };
-    mix(outcomes.len() as u64);
-    // Pack 64 outcomes per word before mixing.
-    for chunk in outcomes.chunks(64) {
-        let mut word = 0u64;
-        for (i, &taken) in chunk.iter().enumerate() {
-            word |= u64::from(taken) << i;
-        }
-        mix(word);
-    }
-    (a, b)
-}
-
-/// [`fingerprint_outcomes`] computed straight from a packed stream's words.
 ///
-/// `PackedStream` stores outcomes LSB-first with the tail word zero-padded —
-/// exactly the packing `fingerprint_outcomes` builds before mixing — so the
-/// words can be mixed verbatim and the two functions agree on every stream.
+/// `PackedStream` stores outcomes LSB-first, 64 per word, with the tail
+/// word zero-padded, so the length and the words are mixed verbatim.
 pub fn fingerprint_packed(stream: &brepl_trace::PackedStream) -> (u64, u64) {
-    let mut a = 0xcbf2_9ce4_8422_2325u64;
-    let mut b = 0x6c62_272e_07bb_0142u64;
-    let mut mix = |x: u64| {
-        a = (a ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-        b = (b ^ x.rotate_left(32)).wrapping_mul(0x0000_01b3_0000_0193);
-    };
-    mix(stream.len() as u64);
+    let mut h = Lanes::new();
+    h.mix(stream.len() as u64);
     for &word in stream.words() {
-        mix(word);
+        h.mix(word);
     }
-    (a, b)
+    h.finish()
 }
 
 /// Looks up a search outcome, computing and caching it on a miss.
@@ -285,6 +260,22 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fingerprint of an unpacked stream: the reference
+    /// [`fingerprint_packed`] is checked against.
+    fn fingerprint_outcomes(outcomes: &[bool]) -> (u64, u64) {
+        let mut h = Lanes::new();
+        h.mix(outcomes.len() as u64);
+        // Pack 64 outcomes per word before mixing.
+        for chunk in outcomes.chunks(64) {
+            let mut word = 0u64;
+            for (i, &taken) in chunk.iter().enumerate() {
+                word |= u64::from(taken) << i;
+            }
+            h.mix(word);
+        }
+        h.finish()
+    }
 
     #[test]
     fn outcome_fingerprint_discriminates() {

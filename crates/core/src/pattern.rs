@@ -107,15 +107,6 @@ impl HistPattern {
         self.len == 0
     }
 
-    /// The newest outcome, if any.
-    pub fn newest(self) -> Option<bool> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(self.bits & 1 == 1)
-        }
-    }
-
     /// Appends a new outcome (shifting older outcomes up), truncating to
     /// `max_len` outcomes.
     pub fn append(self, taken: bool, max_len: u32) -> HistPattern {
@@ -199,9 +190,9 @@ mod tests {
 
     #[test]
     fn newest_is_rightmost() {
-        assert_eq!(HistPattern::parse("01").unwrap().newest(), Some(true));
-        assert_eq!(HistPattern::parse("10").unwrap().newest(), Some(false));
-        assert_eq!(HistPattern::EMPTY.newest(), None);
+        // The rightmost character is the newest outcome, in bit 0.
+        assert_eq!(HistPattern::parse("01").unwrap().bits() & 1, 1);
+        assert_eq!(HistPattern::parse("10").unwrap().bits() & 1, 0);
     }
 
     #[test]

@@ -14,8 +14,8 @@ pub use check::{
 };
 pub use cleanup::remove_unreachable;
 pub use loop_replicate::{replicate_loop, LoopReplicateError, LoopReplication, MAX_PRODUCT_STATES};
-pub use path_replicate::{decision_path, replicate_correlated, split_by_paths, PathSplit};
-pub use simplify::{simplify_function_tracked, simplify_module, SimplifyStats, SimplifyTrace};
+pub use path_replicate::{replicate_correlated, PathSplit};
+pub use simplify::{simplify_function_tracked, SimplifyStats, SimplifyTrace};
 
 pub use brepl_analysis::{ReplicaFuncMap, ReplicaMap};
 

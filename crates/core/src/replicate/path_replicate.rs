@@ -57,7 +57,7 @@ fn retarget_edge(func: &mut Function, pred: BlockId, slot: usize, new_target: Bl
 ///
 /// The caller must renumber branch sites afterwards (copies carry stale
 /// ids, which is what provenance tracking expects).
-pub fn split_by_paths(func: &mut Function, block: BlockId, depth: usize) -> PathSplit {
+fn split_by_paths(func: &mut Function, block: BlockId, depth: usize) -> PathSplit {
     let mut added = 0usize;
     let mut stack = Vec::new();
     let mut clones = Vec::new();
@@ -123,7 +123,7 @@ fn split_rec(
 /// Walks backwards from `block` along unique-predecessor chains, collecting
 /// up to `depth` branch decisions `(site, taken)` oldest-first — the
 /// decision path a copy produced by [`split_by_paths`] is reached through.
-pub fn decision_path(func: &Function, block: BlockId, depth: usize) -> Vec<(BranchId, bool)> {
+fn decision_path(func: &Function, block: BlockId, depth: usize) -> Vec<(BranchId, bool)> {
     let mut path = Vec::new();
     let mut cur = block;
     let mut steps = 0usize;

@@ -146,26 +146,10 @@ pub fn simplify_function_tracked(func: &mut Function) -> (SimplifyStats, Simplif
     (stats, trace)
 }
 
-/// Simplifies every function of a module. Run
-/// [`brepl_ir::Module::renumber_branches`] afterwards if the module's
-/// branch numbering must stay dense (simplification never clones or drops
-/// a *reachable* conditional branch, but unreachable ones disappear).
-pub fn simplify_module(module: &mut brepl_ir::Module) -> SimplifyStats {
-    let mut total = SimplifyStats::default();
-    let fids: Vec<_> = module.iter_functions().map(|(f, _)| f).collect();
-    for fid in fids {
-        let (s, _) = simplify_function_tracked(module.function_mut(fid));
-        total.threaded_edges += s.threaded_edges;
-        total.merged_blocks += s.merged_blocks;
-        total.removed_blocks += s.removed_blocks;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brepl_ir::{FunctionBuilder, Module, Operand, Value};
+    use brepl_ir::{FuncId, FunctionBuilder, Module, Operand, Value};
     use brepl_sim::{Machine, RunConfig};
 
     /// Builds a function full of jump-only glue blocks.
@@ -209,7 +193,7 @@ mod tests {
             .unwrap()
             .run("main", &[Value::Int(5)])
             .unwrap();
-        let stats = simplify_module(&mut m);
+        let (stats, _) = simplify_function_tracked(m.function_mut(FuncId(0)));
         m.renumber_branches();
         m.verify().unwrap();
         assert!(stats.threaded_edges > 0);
@@ -223,7 +207,7 @@ mod tests {
         assert_eq!(original.result, after.result);
         assert_eq!(original.trace.len(), after.trace.len());
         // The whole function collapses to entry + branch arms' merged tail.
-        assert!(m.function(brepl_ir::FuncId(0)).blocks.len() <= 4);
+        assert!(m.function(FuncId(0)).blocks.len() <= 4);
     }
 
     #[test]
@@ -240,7 +224,7 @@ mod tests {
         b.ret(None);
         let mut m = Module::new();
         m.push_function(b.finish());
-        let _ = simplify_module(&mut m);
+        let _ = simplify_function_tracked(m.function_mut(FuncId(0)));
         m.renumber_branches();
         m.verify().unwrap();
         assert!(Machine::new(&m, RunConfig::default())
@@ -253,7 +237,7 @@ mod tests {
     fn branch_sites_are_preserved() {
         let mut m = gluey_module();
         let before = m.branch_count();
-        simplify_module(&mut m);
+        let _ = simplify_function_tracked(m.function_mut(FuncId(0)));
         m.renumber_branches();
         assert_eq!(m.branch_count(), before);
     }

@@ -528,9 +528,9 @@ fn loop_search(
             }
         }
         BranchClass::LoopExit => {
-            // One shared pass over all budgets: each entry is bit-identical
-            // to `best_exit_machine(n, ..)` but the inverted stream/table
-            // and the per-shape simulations happen once, not once per n.
+            // One shared pass over all budgets: entry `n - 2` is the best
+            // machine under budget `n`, and the inverted table and the
+            // per-shape simulations happen once, not once per n.
             for r in exit_machine_menu(max_states, table, outcomes) {
                 let misses = r.total - r.correct;
                 let sz = r.machine.len();

@@ -8,7 +8,7 @@ use crate::module::{Block, Function};
 
 /// A structural error detected when finishing a built function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BuildError {
+enum BuildError {
     /// The block was created but never given a terminator.
     MissingTerminator {
         /// The unterminated block.
@@ -25,8 +25,6 @@ impl fmt::Display for BuildError {
         }
     }
 }
-
-impl std::error::Error for BuildError {}
 
 /// Builds a [`Function`] block by block.
 ///
@@ -135,7 +133,7 @@ impl FunctionBuilder {
     // ----- instructions ---------------------------------------------------
 
     /// `dst = value`.
-    pub fn const_val(&mut self, dst: Reg, value: Value) {
+    fn const_val(&mut self, dst: Reg, value: Value) {
         self.push(Inst::Const { dst, value });
     }
 
@@ -166,14 +164,13 @@ impl FunctionBuilder {
         self.push(Inst::Bin { op, dst, lhs, rhs });
     }
 
-    /// `dst = lhs op rhs`, comparison producing 0/1; returns a fresh register
-    /// via [`cmp_new`](Self::cmp_new) when preferred.
+    /// `dst = lhs op rhs`, comparison producing 0/1.
     pub fn cmp(&mut self, op: CmpOp, dst: Reg, lhs: Operand, rhs: Operand) {
         self.push(Inst::Cmp { op, dst, lhs, rhs });
     }
 
     /// Comparison into a fresh register, returned.
-    pub fn cmp_new(&mut self, op: CmpOp, lhs: Operand, rhs: Operand) -> Reg {
+    fn cmp_new(&mut self, op: CmpOp, lhs: Operand, rhs: Operand) -> Reg {
         let dst = self.reg();
         self.cmp(op, dst, lhs, rhs);
         dst
@@ -327,7 +324,7 @@ impl FunctionBuilder {
     ///
     /// Returns [`BuildError::MissingTerminator`] naming the first block
     /// (in creation order) that was never terminated.
-    pub fn try_finish(self) -> Result<Function, BuildError> {
+    fn try_finish(self) -> Result<Function, BuildError> {
         let mut blocks: Vec<Block> = Vec::with_capacity(self.blocks.len());
         for (i, (insts, term)) in self.blocks.into_iter().enumerate() {
             let Some(term) = term else {
@@ -350,8 +347,7 @@ impl FunctionBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any block lacks a terminator; [`Self::try_finish`] is the
-    /// non-panicking form.
+    /// Panics if any block lacks a terminator, naming the first such block.
     pub fn finish(self) -> Function {
         self.try_finish().unwrap_or_else(|e| panic!("{e}"))
     }

@@ -17,24 +17,41 @@ use crate::ids::BlockId;
 use crate::inst::{Inst, Operand, Term, Value};
 use crate::module::{Function, Module};
 
-/// Dual-lane FNV-1a accumulator, matching the trace/outcome fingerprints
-/// used by the memo layer.
-struct Lanes {
+/// Dual-lane FNV-1a accumulator: the one hasher behind every fingerprint
+/// and cache key in the workspace (modules and functions here; traces,
+/// pattern tables, outcome streams and gate-cache keys in their crates).
+/// Lane `a` is 64-bit FNV-1a over each mixed word; lane `b` mixes the
+/// word rotated by 32 with its own offset and prime, so the pair is a
+/// 128-bit identity.
+pub struct Lanes {
     a: u64,
     b: u64,
 }
 
+impl Default for Lanes {
+    fn default() -> Self {
+        Lanes::new()
+    }
+}
+
 impl Lanes {
-    fn new() -> Self {
+    /// A fresh accumulator at the two offset bases.
+    pub fn new() -> Self {
         Lanes {
             a: 0xcbf2_9ce4_8422_2325,
             b: 0x6c62_272e_07bb_0142,
         }
     }
 
-    fn mix(&mut self, x: u64) {
+    /// Mixes one word into both lanes.
+    pub fn mix(&mut self, x: u64) {
         self.a = (self.a ^ x).wrapping_mul(0x0000_0100_0000_01b3);
         self.b = (self.b ^ x.rotate_left(32)).wrapping_mul(0x0000_01b3_0000_0193);
+    }
+
+    /// The 128-bit value, as `(lane a, lane b)`.
+    pub fn finish(self) -> (u64, u64) {
+        (self.a, self.b)
     }
 
     /// Length-prefixed byte mixing (names): no two distinct strings can
@@ -215,7 +232,7 @@ impl Module {
         for (_, f) in self.iter_functions() {
             h.mix_function(f);
         }
-        (h.a, h.b)
+        h.finish()
     }
 }
 
@@ -227,7 +244,7 @@ impl Function {
     pub fn fingerprint(&self) -> (u64, u64) {
         let mut h = Lanes::new();
         h.mix_function(self);
-        (h.a, h.b)
+        h.finish()
     }
 }
 

@@ -395,16 +395,6 @@ impl Inst {
             }
         }
     }
-
-    /// True if this instruction writes memory or performs I/O — such
-    /// instructions pin the surrounding code during heuristic analysis
-    /// (the Ball–Larus *store* heuristic keys off this).
-    pub fn has_side_effect(&self) -> bool {
-        matches!(
-            self,
-            Inst::Store { .. } | Inst::Call { .. } | Inst::Intrin { .. } | Inst::Alloc { .. }
-        )
-    }
 }
 
 /// A block terminator.
@@ -508,12 +498,10 @@ mod tests {
         let mut uses = Vec::new();
         i.for_each_use(|o| uses.push(o));
         assert_eq!(uses.len(), 2);
-        assert!(!i.has_side_effect());
         let st = Inst::Store {
             addr: Operand::imm(0),
             value: Operand::imm(1),
         };
-        assert!(st.has_side_effect());
         assert_eq!(st.def(), None);
     }
 

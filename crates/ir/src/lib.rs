@@ -65,7 +65,8 @@ mod module;
 mod parse;
 mod verify;
 
-pub use builder::{BuildError, FunctionBuilder};
+pub use builder::FunctionBuilder;
+pub use fingerprint::Lanes;
 pub use ids::{BlockId, BranchId, FuncId, Reg};
 pub use inst::{BinOp, CmpOp, Inst, Intrinsic, Operand, Term, Value};
 pub use loc::{InstIdx, Loc};

@@ -1,8 +1,7 @@
-//! Two later landmarks of the dynamic-prediction line the paper engages
-//! with: McFarling's *gshare* (global history XOR branch address) and the
-//! *tournament* combining predictor (two component predictors plus a
-//! chooser table). Both postdate Yeh–Patt and give the reproduction a
-//! stronger dynamic baseline to compare the semi-static schemes against.
+//! A later landmark of the dynamic-prediction line the paper engages
+//! with: McFarling's *gshare* (global history XOR branch address). It
+//! postdates Yeh–Patt and gives the reproduction a stronger dynamic
+//! baseline to compare the semi-static schemes against.
 
 use brepl_ir::BranchId;
 
@@ -33,11 +32,6 @@ impl Gshare {
             history: 0,
             counters: vec![1; 1 << history_bits],
         }
-    }
-
-    /// Hardware cost in bits (counters + history register).
-    pub fn cost_bits(&self) -> usize {
-        self.counters.len() * 2 + self.history_bits as usize
     }
 
     fn index(&self, site: BranchId) -> usize {
@@ -71,74 +65,9 @@ impl DynamicPredictor for Gshare {
     }
 }
 
-/// A tournament predictor: two components plus a 2-bit chooser per site
-/// hash bucket that learns which component to trust.
-#[derive(Debug)]
-pub struct Tournament<A, B> {
-    a: A,
-    b: B,
-    chooser: Vec<u8>,
-}
-
-impl<A: DynamicPredictor, B: DynamicPredictor> Tournament<A, B> {
-    /// Combines two predictors with `buckets` chooser entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0`.
-    pub fn new(a: A, b: B, buckets: usize) -> Self {
-        assert!(buckets > 0, "need at least one chooser bucket");
-        Tournament {
-            a,
-            b,
-            chooser: vec![1; buckets], // weakly prefer component A
-        }
-    }
-
-    fn bucket(&self, site: BranchId) -> usize {
-        (site.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize % self.chooser.len()
-    }
-}
-
-impl<A: DynamicPredictor, B: DynamicPredictor> DynamicPredictor for Tournament<A, B> {
-    fn predict(&mut self, site: BranchId) -> bool {
-        let pa = self.a.predict(site);
-        let pb = self.b.predict(site);
-        if self.chooser[self.bucket(site)] < 2 {
-            pa
-        } else {
-            pb
-        }
-    }
-
-    fn update(&mut self, site: BranchId, taken: bool) {
-        let pa = self.a.predict(site);
-        let pb = self.b.predict(site);
-        // Train the chooser only when the components disagree.
-        if pa != pb {
-            let i = self.bucket(site);
-            let c = &mut self.chooser[i];
-            if pb == taken {
-                if *c < 3 {
-                    *c += 1;
-                }
-            } else if *c > 0 {
-                *c -= 1;
-            }
-        }
-        self.a.update(site, taken);
-        self.b.update(site, taken);
-    }
-
-    fn name(&self) -> &'static str {
-        "tournament"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::TwoBitCounters;
     use crate::eval::simulate_dynamic;
     use brepl_trace::{Trace, TraceEvent};
 
@@ -156,7 +85,6 @@ mod tests {
         let dirs: Vec<(u32, bool)> = (0..4000).map(|i| (0, i % 5 != 4)).collect();
         let r = simulate_dynamic(&mut Gshare::new(10), &trace_of(dirs));
         assert!(r.misprediction_percent() < 1.0);
-        assert!(Gshare::new(10).cost_bits() > 2048);
     }
 
     #[test]
@@ -165,30 +93,6 @@ mod tests {
         let dirs: Vec<(u32, bool)> = (0..4000).map(|i| (i % 2, i % 2 == 0)).collect();
         let r = simulate_dynamic(&mut Gshare::new(12), &trace_of(dirs));
         assert!(r.misprediction_percent() < 5.0);
-    }
-
-    #[test]
-    fn tournament_beats_both_components_on_mixed_load() {
-        // Site 0 is periodic (good for gshare), site 1 is constant after a
-        // noisy warmup (good for counters, noise for gshare histories).
-        let mut events = Vec::new();
-        let mut x = 1u64;
-        for i in 0..6000 {
-            events.push((0u32, i % 3 != 2));
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let noisy = if i < 200 { x >> 20 & 1 == 1 } else { true };
-            events.push((1, noisy));
-        }
-        let t = trace_of(events);
-        let ga = simulate_dynamic(&mut Gshare::new(6), &t).mispredictions();
-        let cb = simulate_dynamic(&mut TwoBitCounters::new(), &t).mispredictions();
-        let mut tour = Tournament::new(Gshare::new(6), TwoBitCounters::new(), 1024);
-        let to = simulate_dynamic(&mut tour, &t).mispredictions();
-        assert!(
-            to <= ga.max(cb),
-            "tournament {to} vs gshare {ga}, 2bit {cb}"
-        );
-        assert_eq!(tour.name(), "tournament");
     }
 
     #[test]

@@ -7,6 +7,6 @@ mod last_direction;
 mod two_level;
 
 pub use counter::{SaturatingCounters, TwoBitCounters};
-pub use gshare::{Gshare, Tournament};
+pub use gshare::Gshare;
 pub use last_direction::LastDirection;
 pub use two_level::{PatternArrangement, RegisterArrangement, TwoLevel};

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use brepl_ir::BranchId;
+use brepl_ir::{BranchId, Lanes};
 use brepl_trace::{SiteCounts, Trace};
 
 use crate::report::Report;
@@ -52,11 +52,14 @@ impl PatternTable {
     /// stream — equal to `PatternTableSet::build` on a one-site trace of
     /// the same outcomes with [`HistoryKind::Local`] history, without
     /// materializing the trace. The history register starts at all-zeros.
+    /// The reference the tests check [`PatternTable::complement_single_site`]
+    /// against.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= bits <= 16`.
-    pub fn from_outcomes(outcomes: impl IntoIterator<Item = bool>, bits: u32) -> PatternTable {
+    #[cfg(test)]
+    fn from_outcomes(outcomes: impl IntoIterator<Item = bool>, bits: u32) -> PatternTable {
         assert!((1..=16).contains(&bits), "history bits must be in 1..=16");
         let mask: u32 = (1 << bits) - 1;
         let mut scratch = vec![SiteCounts::default(); 1usize << bits];
@@ -85,7 +88,7 @@ impl PatternTable {
     }
 
     /// Number of distinct patterns observed.
-    pub fn used_patterns(&self) -> usize {
+    fn used_patterns(&self) -> usize {
         self.counts.len()
     }
 
@@ -122,7 +125,7 @@ impl PatternTable {
 
     /// Mispredictions when each full pattern predicts its majority
     /// direction — the ideal history-based semi-static prediction.
-    pub fn ideal_mispredictions(&self) -> u64 {
+    fn ideal_mispredictions(&self) -> u64 {
         self.counts.values().map(SiteCounts::minority_count).sum()
     }
 
@@ -139,7 +142,7 @@ impl PatternTable {
     /// zero. So the result is the complement-swap of every entry
     /// (`pattern → !pattern`, taken/not-taken exchanged) with those warmup
     /// events moved from their complement-mapped pattern to the true one.
-    /// Equals [`PatternTable::from_outcomes`] on the complemented stream.
+    /// Equals the table built from the complemented stream.
     ///
     /// # Panics
     ///
@@ -246,21 +249,14 @@ impl PatternTable {
         let mut entries: Vec<(u32, SiteCounts)> =
             self.counts.iter().map(|(&p, &c)| (p, c)).collect();
         entries.sort_unstable_by_key(|&(p, _)| p);
-        // Two independent FNV-1a streams over the sorted entries; a joint
-        // collision across 128 bits is not a realistic concern.
-        let mut a = 0xcbf2_9ce4_8422_2325u64;
-        let mut b = 0x6c62_272e_07bb_0142u64;
-        let mut mix = |x: u64| {
-            a = (a ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-            b = (b ^ x.rotate_left(32)).wrapping_mul(0x0000_01b3_0000_0193);
-        };
-        mix(entries.len() as u64);
+        let mut h = Lanes::new();
+        h.mix(entries.len() as u64);
         for (p, c) in entries {
-            mix(u64::from(p));
-            mix(c.taken);
-            mix(c.not_taken);
+            h.mix(u64::from(p));
+            h.mix(c.taken);
+            h.mix(c.not_taken);
         }
-        (a, b)
+        h.finish()
     }
 }
 

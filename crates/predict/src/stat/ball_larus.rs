@@ -16,14 +16,14 @@
 //! one-to-one.
 
 use brepl_cfg::{Cfg, ClassifiedBranches, DomTree, LoopForest};
-use brepl_ir::{BlockId, CmpOp, Function, Inst, Module, Operand, Term, Value};
+use brepl_ir::{BlockId, BranchId, CmpOp, Function, Inst, Module, Operand, Term, Value};
 
 use crate::eval::StaticPrediction;
 use crate::stat::branch_condition;
 
-/// Which heuristic decided a branch (for diagnostics and tests).
+/// Which heuristic decided a branch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Heuristic {
+enum Heuristic {
     /// Register equality comparison predicted unequal.
     Pointer,
     /// Avoid successors that call.
@@ -42,51 +42,49 @@ pub enum Heuristic {
     Default,
 }
 
-/// The Ball–Larus prediction for a whole module, with per-branch
-/// attribution of the deciding heuristic.
+/// The Ball–Larus prediction for a whole module.
 #[derive(Clone, Debug)]
 pub struct BallLarus {
     prediction: StaticPrediction,
-    decided_by: Vec<(brepl_ir::BranchId, Heuristic)>,
 }
 
 impl BallLarus {
     /// Runs the heuristic chain over every branch of `module`.
     pub fn analyze(module: &Module) -> Self {
         let mut prediction = StaticPrediction::with_default(true);
-        let mut decided_by = Vec::new();
-        for (_, func) in module.iter_functions() {
-            let cfg = Cfg::new(func);
-            let dom = DomTree::new(&cfg);
-            let forest = LoopForest::new(&cfg, &dom);
-            let classes = ClassifiedBranches::analyze(func, &forest);
-            for (bid, block) in func.iter_blocks() {
-                let Term::Br {
-                    then_, else_, site, ..
-                } = block.term
-                else {
-                    continue;
-                };
-                let (guess, heuristic) = chain(func, &classes, bid, then_, else_);
-                prediction.set(site, guess);
-                decided_by.push((site, heuristic));
-            }
+        for (site, guess, _) in decisions(module) {
+            prediction.set(site, guess);
         }
-        BallLarus {
-            prediction,
-            decided_by,
-        }
+        BallLarus { prediction }
     }
 
     /// The resulting per-site prediction.
     pub fn prediction(&self) -> &StaticPrediction {
         &self.prediction
     }
+}
 
-    /// Which heuristic decided each branch.
-    pub fn decided_by(&self) -> &[(brepl_ir::BranchId, Heuristic)] {
-        &self.decided_by
+/// Every branch of `module` with its predicted direction and the
+/// heuristic that decided it, in block order.
+fn decisions(module: &Module) -> Vec<(BranchId, bool, Heuristic)> {
+    let mut out = Vec::new();
+    for (_, func) in module.iter_functions() {
+        let cfg = Cfg::new(func);
+        let dom = DomTree::new(&cfg);
+        let forest = LoopForest::new(&cfg, &dom);
+        let classes = ClassifiedBranches::analyze(func, &forest);
+        for (bid, block) in func.iter_blocks() {
+            let Term::Br {
+                then_, else_, site, ..
+            } = block.term
+            else {
+                continue;
+            };
+            let (guess, heuristic) = chain(func, &classes, bid, then_, else_);
+            out.push((site, guess, heuristic));
+        }
     }
+    out
 }
 
 fn chain(
@@ -255,9 +253,9 @@ mod tests {
         b.switch_to(e);
         b.ret(None);
         let m = single_fn_module(b);
-        let bl = BallLarus::analyze(&m);
-        assert_eq!(bl.decided_by()[0].1, Heuristic::Pointer);
-        assert!(!bl.prediction().get(bl.decided_by()[0].0));
+        let (site, _, h) = decisions(&m)[0];
+        assert_eq!(h, Heuristic::Pointer);
+        assert!(!BallLarus::analyze(&m).prediction().get(site));
     }
 
     #[test]
@@ -280,7 +278,7 @@ mod tests {
         leaf.ret(None);
         m.push_function(leaf.finish());
         let bl = BallLarus::analyze(&m);
-        let (site, h) = bl.decided_by()[0];
+        let (site, _, h) = decisions(&m)[0];
         assert_eq!(h, Heuristic::Call);
         assert!(!bl.prediction().get(site), "avoid the calling successor");
     }
@@ -304,7 +302,7 @@ mod tests {
         b.ret(None);
         let m = single_fn_module(b);
         let bl = BallLarus::analyze(&m);
-        let (site, h) = bl.decided_by()[0];
+        let (site, _, h) = decisions(&m)[0];
         assert!(bl.prediction().get(site), "stay in the loop");
         assert!(matches!(h, Heuristic::Return | Heuristic::Loop));
     }
@@ -329,7 +327,7 @@ mod tests {
         b.ret(None);
         let m = single_fn_module(b);
         let bl = BallLarus::analyze(&m);
-        let (site, h) = bl.decided_by()[0];
+        let (site, _, h) = decisions(&m)[0];
         assert_eq!(h, Heuristic::Guard);
         assert!(bl.prediction().get(site));
     }
@@ -351,8 +349,8 @@ mod tests {
         b.switch_to(j);
         b.ret(None);
         let m = single_fn_module(b);
-        let bl = BallLarus::analyze(&m);
-        assert_eq!(bl.decided_by()[0].1, Heuristic::Default);
-        assert!(bl.prediction().get(bl.decided_by()[0].0));
+        let (site, _, h) = decisions(&m)[0];
+        assert_eq!(h, Heuristic::Default);
+        assert!(BallLarus::analyze(&m).prediction().get(site));
     }
 }

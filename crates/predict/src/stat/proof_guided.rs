@@ -13,22 +13,10 @@ use brepl_ir::{BranchId, Module, Term};
 
 use crate::eval::StaticPrediction;
 
-/// What decided each branch (for diagnostics and tests).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ProofSource {
-    /// A static proof pinned the direction.
-    Proof,
-    /// The loop heuristic: back edges taken, loop exits stay inside.
-    Loop,
-    /// Nobody claimed the branch; default (taken).
-    Default,
-}
-
 /// The proof-guided static prediction for a whole module.
 #[derive(Clone, Debug)]
 pub struct ProofGuided {
     prediction: StaticPrediction,
-    decided_by: Vec<(BranchId, ProofSource)>,
 }
 
 impl ProofGuided {
@@ -36,7 +24,6 @@ impl ProofGuided {
     /// over the loop heuristic.
     pub fn analyze(module: &Module, proofs: &[(BranchId, bool)]) -> Self {
         let mut prediction = StaticPrediction::with_default(true);
-        let mut decided_by = Vec::new();
         for (_, func) in module.iter_functions() {
             let cfg = Cfg::new(func);
             let dom = DomTree::new(&cfg);
@@ -46,55 +33,32 @@ impl ProofGuided {
                 let Term::Br { site, .. } = block.term else {
                     continue;
                 };
-                let (guess, source) =
-                    if let Some(&(_, dir)) = proofs.iter().find(|(s, _)| *s == site) {
-                        (dir, ProofSource::Proof)
-                    } else if let Some(info) = classes.by_site(site) {
-                        if info.taken_is_back_edge {
-                            (true, ProofSource::Loop)
-                        } else if info.innermost_loop.is_some()
-                            && info.then_in_loop != info.else_in_loop
+                let guess = match proofs.iter().find(|(s, _)| *s == site) {
+                    Some(&(_, dir)) => dir,
+                    None => match classes.by_site(site) {
+                        // A loop-exit branch: predict the direction that
+                        // stays inside the loop.
+                        Some(info)
+                            if !info.taken_is_back_edge
+                                && info.innermost_loop.is_some()
+                                && info.then_in_loop != info.else_in_loop =>
                         {
-                            // A loop-exit branch: predict the direction that
-                            // stays inside the loop.
-                            (info.then_in_loop, ProofSource::Loop)
-                        } else {
-                            (true, ProofSource::Default)
+                            info.then_in_loop
                         }
-                    } else {
-                        (true, ProofSource::Default)
-                    };
+                        // Back edges are taken; everything else defaults
+                        // to taken.
+                        _ => true,
+                    },
+                };
                 prediction.set(site, guess);
-                decided_by.push((site, source));
             }
         }
-        ProofGuided {
-            prediction,
-            decided_by,
-        }
+        ProofGuided { prediction }
     }
 
     /// The resulting per-site static prediction.
     pub fn prediction(&self) -> &StaticPrediction {
         &self.prediction
-    }
-
-    /// Which source decided each branch, in block order.
-    pub fn decided_by(&self) -> &[(BranchId, ProofSource)] {
-        &self.decided_by
-    }
-
-    /// Counts of branches decided by `(proof, loop, default)`.
-    pub fn source_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for (_, s) in &self.decided_by {
-            match s {
-                ProofSource::Proof => c.0 += 1,
-                ProofSource::Loop => c.1 += 1,
-                ProofSource::Default => c.2 += 1,
-            }
-        }
-        c
     }
 }
 
@@ -140,12 +104,11 @@ mod tests {
         let pg = ProofGuided::analyze(&m, &[]);
         assert!(pg.prediction().get(BranchId(0)));
         assert!(pg.prediction().get(BranchId(1)));
-        assert_eq!(pg.source_counts(), (0, 1, 1));
 
         // A proof pinning the header not-taken wins over the heuristic.
         let pg = ProofGuided::analyze(&m, &[(BranchId(0), false)]);
         assert!(!pg.prediction().get(BranchId(0)));
-        assert_eq!(pg.source_counts(), (1, 0, 1));
+        assert!(pg.prediction().get(BranchId(1)));
     }
 
     #[test]

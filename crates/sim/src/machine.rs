@@ -76,9 +76,9 @@ impl From<Run<Trace>> for Outcome {
 /// beyond the committed end yields `Int(0)`, exactly what a zero-filled
 /// heap would hold there.
 ///
-/// The machine owns the heap and the I/O tapes; a fresh machine (or
-/// [`Machine::reset`]) gives a fresh program state, so two runs with the
-/// same inputs are bit-identical — profiles are deterministic.
+/// The machine owns the heap and the I/O tapes; a fresh machine gives a
+/// fresh program state, so two runs with the same inputs are
+/// bit-identical — profiles are deterministic.
 pub struct Machine<'m> {
     module: &'m Module,
     exec: ExecModule,
@@ -130,18 +130,6 @@ impl<'m> Machine<'m> {
     /// The values written by the `out()` intrinsic so far.
     pub fn output(&self) -> &[Value] {
         &self.output
-    }
-
-    /// Resets the machine to its initial state: heap and output are
-    /// cleared, the allocation break and PRNG are reseeded, and the input
-    /// tape is *rewound but kept*, so a re-run re-consumes the same input
-    /// and reproduces the first run bit for bit.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.brk = self.module.globals;
-        self.input_pos = 0;
-        self.output.clear();
-        self.prng = self.config.seed | 1;
     }
 
     /// Runs `entry(args)` to completion, recording every conditional branch.
@@ -524,22 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_initial_state() {
-        let m = simple_main(|b| {
-            let r = b.rand(Operand::imm(1_000_000));
-            b.out(r.into());
-            b.store(Operand::imm(0), Operand::imm(5));
-            b.ret(None);
-        });
-        let mut machine = Machine::new(&m, RunConfig::default()).unwrap();
-        machine.run("main", &[]).unwrap();
-        let first = machine.output().to_vec();
-        machine.reset();
-        machine.run("main", &[]).unwrap();
-        assert_eq!(machine.output(), &first[..]);
-    }
-
-    #[test]
     fn segmented_runs_mark_boundaries_and_stay_bit_identical() {
         // Loop of 10 iterations; each reads one input and branches on it,
         // so every iteration contributes exactly two trace events (loop
@@ -591,27 +563,5 @@ mod tests {
         let (got, marks) = seg.run_segmented("main", &[], &[0, 4, 100]).unwrap();
         assert_eq!(marks, vec![1, 9, got.trace.len()]);
         assert_eq!(got.trace.len(), 21);
-    }
-
-    #[test]
-    fn reset_rewinds_the_input_tape() {
-        // One run consumes the tape; after reset the same machine must
-        // re-consume the same input and reproduce the run exactly.
-        let m = simple_main(|b| {
-            let a = b.input();
-            let b_ = b.input();
-            b.out(a.into());
-            b.out(b_.into());
-            b.ret(None);
-        });
-        let mut machine = Machine::new(&m, RunConfig::default()).unwrap();
-        machine.set_input(vec![Value::Int(3), Value::Int(9)]);
-        let first = machine.run("main", &[]).unwrap();
-        let first_out = machine.output().to_vec();
-        assert_eq!(first_out, vec![Value::Int(3), Value::Int(9)]);
-        machine.reset();
-        let second = machine.run("main", &[]).unwrap();
-        assert_eq!(machine.output(), &first_out[..]);
-        assert_eq!(first, second);
     }
 }

@@ -16,7 +16,7 @@ use crate::trace::Trace;
 /// Outcomes are appended LSB-first: outcome `i` lives in bit `i % 64` of
 /// word `i / 64`. The tail word's unused high bits are always zero — an
 /// invariant every constructor maintains, which lets word-level consumers
-/// (fingerprints, chunked machine evaluation, inversion) treat the words
+/// (fingerprints, chunked machine evaluation) treat the words
 /// array as canonical.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackedStream {
@@ -85,23 +85,6 @@ impl PackedStream {
     pub fn count_taken(&self) -> u64 {
         self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
-
-    /// The complemented stream (`taken` ↔ `not taken`): every word is
-    /// bit-flipped and the tail re-masked to keep the zero-padding
-    /// invariant.
-    pub fn inverted(&self) -> PackedStream {
-        let mut words: Vec<u64> = self.words.iter().map(|w| !w).collect();
-        let tail_bits = self.len % 64;
-        if tail_bits != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= (1u64 << tail_bits) - 1;
-            }
-        }
-        PackedStream {
-            words,
-            len: self.len,
-        }
-    }
 }
 
 impl FromIterator<bool> for PackedStream {
@@ -163,24 +146,6 @@ mod tests {
                 assert_eq!(s.get(i), d);
             }
             assert_eq!(s.count_taken(), dirs.iter().filter(|&&d| d).count() as u64);
-        }
-    }
-
-    #[test]
-    fn inverted_flips_and_keeps_tail_zeroed() {
-        for n in [1usize, 63, 64, 65, 200] {
-            let dirs = xorshift_bools(n, 7 + n as u64);
-            let s: PackedStream = dirs.iter().copied().collect();
-            let inv = s.inverted();
-            assert_eq!(inv.len(), n);
-            let want: Vec<bool> = dirs.iter().map(|&d| !d).collect();
-            assert_eq!(inv.iter().collect::<Vec<bool>>(), want);
-            // Tail-zero invariant: re-inverting restores the original
-            // words exactly.
-            assert_eq!(inv.inverted(), s);
-            // Rebuilding from the inverted outcomes matches word-for-word.
-            let rebuilt: PackedStream = want.iter().copied().collect();
-            assert_eq!(inv, rebuilt);
         }
     }
 

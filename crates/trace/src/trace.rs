@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use brepl_ir::BranchId;
+use brepl_ir::{BranchId, Lanes};
 
 use crate::codec::{read_varint, unzigzag, write_varint, zigzag, BitReader, BitWriter};
 use crate::stats::TraceStats;
@@ -75,14 +75,13 @@ impl Trace {
     }
 
     /// Appends an event, rejecting unrepresentable site ids with a typed
-    /// error. This is the total form every untrusted path (decoding,
-    /// fuzzing) goes through.
+    /// error: the total form [`Trace::from_bytes`] decodes through.
     ///
     /// # Errors
     ///
     /// [`TraceError::SiteOutOfRange`] if the site id does not fit in 31
     /// bits.
-    pub fn try_push(&mut self, ev: TraceEvent) -> Result<(), TraceError> {
+    fn try_push(&mut self, ev: TraceEvent) -> Result<(), TraceError> {
         if ev.site.0 > MAX_SITE {
             return Err(TraceError::SiteOutOfRange);
         }
@@ -96,8 +95,8 @@ impl Trace {
     ///
     /// Panics if the site id does not fit in 31 bits. Site ids produced by
     /// `Module::renumber_branches` are sequential and can never get close,
-    /// so in-process producers (the simulator) use this form; code handling
-    /// ids from *outside* the process must use [`Trace::try_push`].
+    /// so in-process producers (the simulator) use this form; ids from
+    /// *outside* the process arrive through the total [`Trace::from_bytes`].
     pub fn push(&mut self, ev: TraceEvent) {
         self.try_push(ev).expect("site id exceeds 31 bits");
     }
@@ -141,19 +140,14 @@ impl Trace {
     /// stage-level memo in `brepl-core`, where they let whole selection
     /// results be reused across pipeline stages.
     pub fn fingerprint(&self) -> (u64, u64) {
-        let mut a = 0xcbf2_9ce4_8422_2325u64;
-        let mut b = 0x6c62_272e_07bb_0142u64;
-        let mut mix = |x: u64| {
-            a = (a ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-            b = (b ^ x.rotate_left(32)).wrapping_mul(0x0000_01b3_0000_0193);
-        };
-        mix(self.packed.len() as u64);
+        let mut h = Lanes::new();
+        h.mix(self.packed.len() as u64);
         for pair in self.packed.chunks(2) {
             let lo = u64::from(pair[0]);
             let hi = pair.get(1).copied().map_or(0, u64::from);
-            mix(lo | hi << 32);
+            h.mix(lo | hi << 32);
         }
-        (a, b)
+        h.finish()
     }
 
     /// The event at `idx`.

@@ -22,7 +22,7 @@
 //! replication can beat, which is precisely the hard-branch end of the
 //! taxonomy the estimate drift gate (`BR019`) is built to chart.
 //!
-//! [`build_biased`] generalizes the text to `P('a') = p = num/den`.
+//! [`biased_text`] generalizes the text to `P('a') = p = num/den`.
 //! With the automaton state still "the previous symbol was `a`", the
 //! closed forms become: site 1 taken rate → `p`, site 2 → `1 − p`,
 //! site 3 → `p`, expected matches → `(n−1)·p(1−p)`, and the
@@ -152,22 +152,6 @@ fn build_main(n: i64) -> brepl_ir::Function {
     b.ret(Some(matches.into()));
 
     b.finish()
-}
-
-/// Builds the kmp workload over biased i.i.d. text with
-/// `P('a') = num/den`. The module is identical to [`build_seeded`]'s
-/// (same fingerprint); only the input tape changes. `num/den = 1/2`
-/// reproduces [`build_seeded`]'s tape bit for bit.
-///
-/// # Panics
-///
-/// Panics if `den == 0` or `num > den`.
-pub fn build_biased(scale: Scale, seed: u64, num: u64, den: u64) -> Workload {
-    let n = symbols(scale);
-    let mut w = build_seeded(scale, seed);
-    w.description = "Morris-Pratt search for \"ab\" over biased binary text (closed-form rates)";
-    w.input = biased_text(n as usize, seed, num, den);
-    w
 }
 
 /// The kmp automaton in *drain* form: the scan loop reads symbols until
@@ -335,7 +319,8 @@ mod tests {
         // 2·min(p,1−p)·n/(3n+1).
         for &(num, den) in &[(1u64, 4u64), (3, 4), (1, 2)] {
             let p = num as f64 / den as f64;
-            let w = build_biased(Scale::Small, 0, num, den);
+            let mut w = build_seeded(Scale::Small, 0);
+            w.input = biased_text(symbols(Scale::Small) as usize, 0, num, den);
             let n = symbols(Scale::Small) as f64;
             let (outcome, output) = w.run_with_output().unwrap();
             let matches = output[0].as_int().unwrap() as f64;
@@ -356,14 +341,6 @@ mod tests {
             let want = 2.0 * p.min(1.0 - p) * n / (3.0 * n + 1.0);
             assert!((pct - want).abs() < 0.02, "p = {p}: misprediction {pct}");
         }
-    }
-
-    #[test]
-    fn half_bias_reproduces_the_uniform_tape() {
-        let uniform = build_seeded(Scale::Small, 3);
-        let biased = build_biased(Scale::Small, 3, 1, 2);
-        assert_eq!(uniform.input, biased.input);
-        assert_eq!(uniform.module.fingerprint(), biased.module.fingerprint());
     }
 
     #[test]

@@ -86,16 +86,7 @@ impl Workload {
     /// Propagates any [`RunError`] — the suite is expected to run clean, so
     /// tests treat an error as failure.
     pub fn run(&self) -> Result<Outcome, RunError> {
-        self.run_with_config(RunConfig::default())
-    }
-
-    /// Runs with a custom interpreter configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`RunError`].
-    pub fn run_with_config(&self, config: RunConfig) -> Result<Outcome, RunError> {
-        let mut machine = Machine::new(&self.module, config)?;
+        let mut machine = Machine::new(&self.module, RunConfig::default())?;
         machine.set_input(self.input.clone());
         machine.run("main", &self.args)
     }

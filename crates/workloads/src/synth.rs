@@ -12,8 +12,6 @@
 
 use brepl_ir::{BinOp, BlockId, FunctionBuilder, Module, Operand, Reg, Value};
 
-use crate::Workload;
-
 /// Simple xorshift for deterministic generation from a caller-chosen seed.
 pub struct Gen {
     state: u64,
@@ -238,22 +236,10 @@ pub fn gate_tape(n: usize, pattern: GatePattern) -> Vec<Value> {
         .collect()
 }
 
-/// Wraps [`input_gate_module`] as a [`Workload`] whose input is the
-/// concatenation of the given per-segment tapes (the drain loop
-/// consumes every symbol regardless of how many segments there are).
-pub fn input_gate_workload(segments: &[Vec<Value>]) -> Workload {
-    Workload {
-        name: "drift-gate",
-        description: "drain loop around one input-driven branch (drift scenario)",
-        module: input_gate_module(),
-        args: vec![],
-        input: segments.concat(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
 
     #[test]
     fn generation_is_deterministic() {
@@ -274,10 +260,21 @@ mod tests {
         }
     }
 
+    /// The gate module over the concatenated segment tapes.
+    fn gate_workload(segments: &[Vec<Value>]) -> Workload {
+        Workload {
+            name: "drift-gate",
+            description: "drain loop around one input-driven branch",
+            module: input_gate_module(),
+            args: vec![],
+            input: segments.concat(),
+        }
+    }
+
     #[test]
     fn input_gate_tracks_its_tape() {
         let alt = gate_tape(100, GatePattern::Alternating);
-        let w = input_gate_workload(std::slice::from_ref(&alt));
+        let w = gate_workload(std::slice::from_ref(&alt));
         let outcome = w.run().unwrap();
         let stats = outcome.trace.stats();
         // Site 0: drain loop, 100 symbol iterations (not taken) + 1
@@ -289,7 +286,7 @@ mod tests {
         assert_eq!((s1.taken, s1.not_taken), (50, 50));
 
         let con = gate_tape(60, GatePattern::Constant(1));
-        let w = input_gate_workload(&[alt, con]);
+        let w = gate_workload(&[alt, con]);
         assert_eq!(w.input.len(), 160);
         let stats = w.run().unwrap().trace.stats();
         let s1 = stats.site(brepl_ir::BranchId(1));

@@ -56,12 +56,18 @@ struct Loaded {
     input: Vec<Value>,
 }
 
-/// Loads `<file> [intarg...] [--input v1,v2,...]`.
-fn load(args: &[String]) -> Result<Loaded, String> {
-    let path = args.first().ok_or("missing input file")?;
+/// Reads, parses and verifies the textual-IR program at `path`.
+fn read_module(path: &str) -> Result<Module, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let module = parse_module(&src).map_err(|e| format!("{path}: {e}"))?;
     module.verify().map_err(|e| format!("{path}: {e}"))?;
+    Ok(module)
+}
+
+/// Loads `<file> [intarg...] [--input v1,v2,...]`.
+fn load(args: &[String]) -> Result<Loaded, String> {
+    let path = args.first().ok_or("missing input file")?;
+    let module = read_module(path)?;
 
     let mut call_args = Vec::new();
     let mut input = Vec::new();
@@ -158,7 +164,8 @@ fn cmd_replicate(args: &[String]) -> Result<(), String> {
                 let b: f64 = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .ok_or("--budget needs a number")?;
+                    .filter(|b: &f64| b.is_finite())
+                    .ok_or("--budget needs a finite number")?;
                 budget = if b <= 0.0 { None } else { Some(b) };
             }
             "--output" => {
@@ -177,14 +184,14 @@ fn cmd_replicate(args: &[String]) -> Result<(), String> {
     };
     let result = run_pipeline(&l.module, &l.args, &l.input, config).map_err(|e| e.to_string())?;
     println!(
-        "profile {:.2}% -> replicated {:.2}% at {:.2}x size ({} branches improved)",
+        "profile {:.2}% -> replicated {:.2}% at {:.2}x size ({} branches replicated)",
         result.profile_misprediction_percent,
         result.replicated_misprediction_percent,
         result.size_growth,
-        result.selection.improved_branches()
+        result.replicated_sites.len()
     );
     for c in result.selection.choices() {
-        if c.benefit() > 0 {
+        if result.replicated_sites.contains(&c.site) {
             println!(
                 "  {}: {:?}, {} states, {} -> {} misses",
                 c.site,
@@ -240,8 +247,7 @@ fn cmd_shootout(args: &[String]) -> Result<(), String> {
 fn cmd_dot(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing input file")?;
     let fname = args.get(1).ok_or("missing function name")?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let module = parse_module(&src).map_err(|e| format!("{path}: {e}"))?;
+    let module = read_module(path)?;
     let fid = module
         .function_by_name(fname)
         .ok_or_else(|| format!("no function named {fname:?}"))?;

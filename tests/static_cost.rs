@@ -24,7 +24,6 @@ fn static_bound_never_undercuts_the_simulator_on_any_workload() {
         machine.set_input(w.input.clone());
         let trace = machine.run("main", &w.args).unwrap().trace;
         let report = static_cost(
-            &w.module,
             &r.program.module,
             &r.program.provenance,
             &r.program.predictions,
@@ -114,7 +113,6 @@ fn static_bound_is_exact_on_the_demo_cfg() {
     let program = apply_plan(&m, &plan, &trace.stats()).unwrap();
 
     let report = static_cost(
-        &m,
         &program.module,
         &program.provenance,
         &program.predictions,
