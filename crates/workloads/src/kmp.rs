@@ -54,104 +54,13 @@ pub fn symbols(scale: Scale) -> i64 {
 /// Builds the kmp workload with an alternate input dataset.
 pub fn build_seeded(scale: Scale, seed: u64) -> Workload {
     let n = symbols(scale);
-    let mut module = Module::new();
-    module.push_function(build_main(n));
-    module.renumber_branches();
-    module.verify().expect("kmp module must verify");
     Workload {
         name: "kmp",
         description: "Morris-Pratt search for \"ab\" over random binary text (closed-form rates)",
-        module,
+        module: automaton(Scan::Counted(n)),
         args: vec![],
         input: generate_text(n as usize, seed),
     }
-}
-
-fn build_main(n: i64) -> brepl_ir::Function {
-    let mut b = FunctionBuilder::new("main", 0);
-    let i = b.reg();
-    let state = b.reg();
-    let matches = b.reg();
-    let checksum = b.reg();
-    let c = b.reg();
-
-    let head = b.new_block();
-    let body = b.new_block();
-    let at1 = b.new_block();
-    let at1_match = b.new_block();
-    let at1_stay = b.new_block();
-    let at0 = b.new_block();
-    let at0_adv = b.new_block();
-    let at0_stay = b.new_block();
-    let latch = b.new_block();
-    let exit = b.new_block();
-
-    b.const_int(i, 0);
-    b.const_int(state, 0);
-    b.const_int(matches, 0);
-    b.const_int(checksum, 7);
-    b.jmp(head);
-
-    // Site 0: the scan loop — constant trip count, provable exactly.
-    b.switch_to(head);
-    let more = b.lt(i.into(), Operand::imm(n));
-    b.br(more, body, exit);
-
-    // Site 1: automaton state dispatch (state == 1 ⇔ previous symbol
-    // was 'a').
-    b.switch_to(body);
-    let nxt = b.input();
-    b.copy(c, nxt.into());
-    let in1 = b.eq(state.into(), Operand::imm(1));
-    b.br(in1, at1, at0);
-
-    // Site 2: at state 1 the automaton expects pattern[1] = 'b' (1).
-    b.switch_to(at1);
-    let hit = b.eq(c.into(), Operand::imm(1));
-    b.br(hit, at1_match, at1_stay);
-
-    b.switch_to(at1_match);
-    b.add(matches, matches.into(), Operand::imm(1));
-    b.const_int(state, 0);
-    b.jmp(latch);
-
-    // Mismatch at state 1 means c = 'a' — the Morris–Pratt failure
-    // link falls to state 0 and immediately re-advances on 'a'.
-    b.switch_to(at1_stay);
-    b.const_int(state, 1);
-    b.jmp(latch);
-
-    // Site 3: at state 0 the automaton expects pattern[0] = 'a' (0).
-    b.switch_to(at0);
-    let adv = b.eq(c.into(), Operand::imm(0));
-    b.br(adv, at0_adv, at0_stay);
-
-    b.switch_to(at0_adv);
-    b.const_int(state, 1);
-    b.jmp(latch);
-
-    b.switch_to(at0_stay);
-    b.const_int(state, 0);
-    b.jmp(latch);
-
-    b.switch_to(latch);
-    b.mul(checksum, checksum.into(), Operand::imm(31));
-    b.add(checksum, checksum.into(), c.into());
-    b.bin(
-        brepl_ir::BinOp::And,
-        checksum,
-        checksum.into(),
-        Operand::imm((1 << 40) - 1),
-    );
-    b.add(i, i.into(), Operand::imm(1));
-    b.jmp(head);
-
-    b.switch_to(exit);
-    b.out(matches.into());
-    b.out(checksum.into());
-    b.ret(Some(matches.into()));
-
-    b.finish()
 }
 
 /// The kmp automaton in *drain* form: the scan loop reads symbols until
@@ -164,7 +73,25 @@ fn build_main(n: i64) -> brepl_ir::Function {
 /// provable by the classifier — which is fine, because it is also the
 /// one site whose distribution never drifts.
 pub fn drift_module() -> Module {
+    automaton(Scan::Drained)
+}
+
+/// How the automaton's scan loop (site 0) ends.
+#[derive(Clone, Copy)]
+enum Scan {
+    /// Counts `i` up to a baked trip count `n`: the loop test is `i < n`.
+    Counted(i64),
+    /// Reads symbols until `in()` returns the `-1` end-of-tape sentinel.
+    Drained,
+}
+
+/// The Morris–Pratt automaton for `ab` with its scan loop in form `scan`.
+fn automaton(scan: Scan) -> Module {
     let mut b = FunctionBuilder::new("main", 0);
+    let counter = match scan {
+        Scan::Counted(n) => Some((b.reg(), n)),
+        Scan::Drained => None,
+    };
     let state = b.reg();
     let matches = b.reg();
     let checksum = b.reg();
@@ -181,21 +108,33 @@ pub fn drift_module() -> Module {
     let latch = b.new_block();
     let exit = b.new_block();
 
+    if let Some((i, _)) = counter {
+        b.const_int(i, 0);
+    }
     b.const_int(state, 0);
     b.const_int(matches, 0);
     b.const_int(checksum, 7);
     b.jmp(head);
 
-    // Site 0: the drain loop — read a symbol, exit on the sentinel.
     b.switch_to(head);
-    let nxt = b.input();
-    b.copy(c, nxt.into());
-    let done = b.eq(c.into(), Operand::imm(-1));
-    b.br(done, exit, body);
+    if let Some((i, n)) = counter {
+        // Site 0: the scan loop — constant trip count, provable exactly.
+        let more = b.lt(i.into(), Operand::imm(n));
+        b.br(more, body, exit);
+        b.switch_to(body);
+        let nxt = b.input();
+        b.copy(c, nxt.into());
+    } else {
+        // Site 0: the drain loop — read a symbol, exit on the sentinel.
+        let nxt = b.input();
+        b.copy(c, nxt.into());
+        let done = b.eq(c.into(), Operand::imm(-1));
+        b.br(done, exit, body);
+        b.switch_to(body);
+    }
 
     // Site 1: automaton state dispatch (state == 1 ⇔ previous symbol
     // was 'a').
-    b.switch_to(body);
     let in1 = b.eq(state.into(), Operand::imm(1));
     b.br(in1, at1, at0);
 
@@ -237,6 +176,9 @@ pub fn drift_module() -> Module {
         checksum.into(),
         Operand::imm((1 << 40) - 1),
     );
+    if let Some((i, _)) = counter {
+        b.add(i, i.into(), Operand::imm(1));
+    }
     b.jmp(head);
 
     b.switch_to(exit);
@@ -247,7 +189,7 @@ pub fn drift_module() -> Module {
     let mut module = Module::new();
     module.push_function(b.finish());
     module.renumber_branches();
-    module.verify().expect("kmp drift module must verify");
+    module.verify().expect("kmp module must verify");
     module
 }
 
@@ -341,6 +283,22 @@ mod tests {
             let want = 2.0 * p.min(1.0 - p) * n / (3.0 * n + 1.0);
             assert!((pct - want).abs() < 0.02, "p = {p}: misprediction {pct}");
         }
+    }
+
+    /// The counted and drained forms are the modules they have always
+    /// been: literal fingerprints, so a change to the shared builder
+    /// cannot move either one (`brbench`'s `drift-adapt` runs the drained
+    /// form).
+    #[test]
+    fn both_scan_forms_keep_their_fingerprints() {
+        assert_eq!(
+            build_seeded(Scale::Small, 0).module.fingerprint(),
+            (0x6d05bdf89f6fdd19, 0x514cf4bb82695e45)
+        );
+        assert_eq!(
+            drift_module().fingerprint(),
+            (0xd3a159fae1ff0eeb, 0x1ca1f13fb321ceb4)
+        );
     }
 
     #[test]
