@@ -3,7 +3,7 @@
 
 use brepl_analysis::classify_module;
 use brepl_bench::{print_header, print_row, print_row_counts, profile_suite, scale_from_env};
-use brepl_predict::dynamic::{LastDirection, TwoBitCounters, TwoLevel};
+use brepl_predict::dynamic::{LastDirection, SaturatingCounters, TwoLevel};
 use brepl_predict::semistatic::{combine_best, profile_report_from_stats};
 use brepl_predict::stat::proof_guided::ProofGuided;
 use brepl_predict::{evaluate_static, simulate_dynamic, HistoryKind, PatternTableSet};
@@ -25,7 +25,7 @@ fn main() {
     ];
     let mut static_branches = Vec::new();
     let mut executed_branches = Vec::new();
-    let mut improved_branches = Vec::new();
+    let mut improved = Vec::new();
     let mut ipm = Vec::new();
 
     for p in &suite {
@@ -36,7 +36,7 @@ fn main() {
             .push(simulate_dynamic(&mut LastDirection::new(), t).misprediction_percent());
         rows[1]
             .1
-            .push(simulate_dynamic(&mut TwoBitCounters::new(), t).misprediction_percent());
+            .push(simulate_dynamic(&mut SaturatingCounters::new(2), t).misprediction_percent());
         rows[2]
             .1
             .push(simulate_dynamic(&mut TwoLevel::paper_4k(), t).misprediction_percent());
@@ -69,7 +69,7 @@ fn main() {
 
         static_branches.push(p.workload.module.branch_count() as u64);
         executed_branches.push(stats.executed_sites() as u64);
-        improved_branches.push(lc.improved_sites_vs(&profile) as u64);
+        improved.push(lc.improved_sites_vs(&profile) as u64);
     }
 
     for (label, values) in &rows {
@@ -79,7 +79,7 @@ fn main() {
     println!();
     print_row_counts("static branches", &static_branches);
     print_row_counts("executed branches", &executed_branches);
-    print_row_counts("improved branches", &improved_branches);
+    print_row_counts("improved branches", &improved);
 
     // The paper's qualitative claims, checked on the spot.
     let avg = |i: usize| -> f64 { rows[i].1.iter().sum::<f64>() / rows[i].1.len() as f64 };

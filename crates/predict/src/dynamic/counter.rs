@@ -11,7 +11,6 @@ use crate::eval::DynamicPredictor;
 /// (per-site) table.
 #[derive(Clone, Debug)]
 pub struct SaturatingCounters {
-    bits: u32,
     max: u8,
     threshold: u8,
     initial: u8,
@@ -31,7 +30,6 @@ impl SaturatingCounters {
         let max = ((1u16 << bits) - 1) as u8;
         let threshold = (1u16 << (bits - 1)) as u8;
         SaturatingCounters {
-            bits,
             max,
             threshold,
             initial: threshold, // weakly taken
@@ -43,11 +41,6 @@ impl SaturatingCounters {
                 _ => "nbit counter",
             },
         }
-    }
-
-    /// Counter width in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
     }
 
     fn counter(&mut self, site: BranchId) -> &mut u8 {
@@ -80,37 +73,6 @@ impl DynamicPredictor for SaturatingCounters {
 
     fn name(&self) -> &'static str {
         self.name
-    }
-}
-
-/// The classic two-bit counter table.
-#[derive(Clone, Debug)]
-pub struct TwoBitCounters(SaturatingCounters);
-
-impl TwoBitCounters {
-    /// Creates a two-bit counter predictor.
-    pub fn new() -> Self {
-        TwoBitCounters(SaturatingCounters::new(2))
-    }
-}
-
-impl Default for TwoBitCounters {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DynamicPredictor for TwoBitCounters {
-    fn predict(&mut self, site: BranchId) -> bool {
-        self.0.predict(site)
-    }
-
-    fn update(&mut self, site: BranchId, taken: bool) {
-        self.0.update(site, taken)
-    }
-
-    fn name(&self) -> &'static str {
-        "2bit counter"
     }
 }
 
@@ -149,10 +111,10 @@ mod tests {
         // not-taken exit should cost the 2-bit counter one miss, not two.
         let dirs: Vec<bool> = (0..1100).map(|i| i % 11 != 10).collect();
         let trace = trace_of(dirs.clone());
-        let two_bit = simulate_dynamic(&mut TwoBitCounters::new(), &trace);
+        let two_bit = simulate_dynamic(&mut SaturatingCounters::new(2), &trace);
         let last = simulate_dynamic(&mut crate::dynamic::LastDirection::new(), &trace_of(dirs));
         assert!(two_bit.mispredictions() < last.mispredictions());
-        assert_eq!(TwoBitCounters::new().name(), "2bit counter");
+        assert_eq!(SaturatingCounters::new(2).name(), "2bit counter");
     }
 
     #[test]
@@ -168,10 +130,5 @@ mod tests {
     #[should_panic(expected = "counter bits")]
     fn zero_bits_rejected() {
         let _ = SaturatingCounters::new(0);
-    }
-
-    #[test]
-    fn bits_accessor() {
-        assert_eq!(SaturatingCounters::new(3).bits(), 3);
     }
 }

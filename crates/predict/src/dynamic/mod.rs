@@ -6,7 +6,7 @@ mod gshare;
 mod last_direction;
 mod two_level;
 
-pub use counter::{SaturatingCounters, TwoBitCounters};
+pub use counter::SaturatingCounters;
 pub use gshare::Gshare;
 pub use last_direction::LastDirection;
 pub use two_level::{PatternArrangement, RegisterArrangement, TwoLevel};

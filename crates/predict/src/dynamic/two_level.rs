@@ -170,7 +170,7 @@ impl DynamicPredictor for TwoLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::TwoBitCounters;
+    use crate::dynamic::SaturatingCounters;
     use crate::eval::simulate_dynamic;
     use brepl_trace::{Trace, TraceEvent};
 
@@ -190,7 +190,7 @@ mod tests {
         // two-level predictor with >= 3 history bits learns it exactly.
         let dirs: Vec<bool> = (0..3000).map(|i| i % 3 != 2).collect();
         let trace = site_trace(0, dirs);
-        let counters = simulate_dynamic(&mut TwoBitCounters::new(), &trace);
+        let counters = simulate_dynamic(&mut SaturatingCounters::new(2), &trace);
         let mut tl = TwoLevel::new(
             RegisterArrangement::PerAddress { entries: 64 },
             6,

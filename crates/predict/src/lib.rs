@@ -21,14 +21,14 @@
 //! ```
 //! use brepl_ir::BranchId;
 //! use brepl_trace::{Trace, TraceEvent};
-//! use brepl_predict::dynamic::TwoBitCounters;
+//! use brepl_predict::dynamic::SaturatingCounters;
 //! use brepl_predict::simulate_dynamic;
 //!
 //! // A strongly biased branch: the 2-bit counter nails it after warmup.
 //! let trace: Trace = (0..1000)
 //!     .map(|i| TraceEvent { site: BranchId(0), taken: i % 50 != 0 })
 //!     .collect();
-//! let report = simulate_dynamic(&mut TwoBitCounters::new(), &trace);
+//! let report = simulate_dynamic(&mut SaturatingCounters::new(2), &trace);
 //! assert!(report.misprediction_percent() < 5.0);
 //! ```
 

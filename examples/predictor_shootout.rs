@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release --example predictor_shootout [workload]`.
 
-use brepl::predict::dynamic::{LastDirection, TwoBitCounters, TwoLevel};
+use brepl::predict::dynamic::{LastDirection, SaturatingCounters, TwoLevel};
 use brepl::predict::semistatic::{
     correlation_report, loop_correlation_report, loop_report, profile_report,
 };
@@ -55,7 +55,7 @@ fn main() {
     ));
     rows.push((
         "2bit counter (dynamic)".into(),
-        simulate_dynamic(&mut TwoBitCounters::new(), &trace).misprediction_percent(),
+        simulate_dynamic(&mut SaturatingCounters::new(2), &trace).misprediction_percent(),
     ));
     rows.push((
         "two-level 4K bit (dynamic)".into(),

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use brepl::cfg::function_to_dot;
 use brepl::ir::{parse_module, Module, Value};
 use brepl::pipeline::{run_pipeline, PipelineConfig};
-use brepl::predict::dynamic::{Gshare, LastDirection, TwoBitCounters, TwoLevel};
+use brepl::predict::dynamic::{Gshare, LastDirection, SaturatingCounters, TwoLevel};
 use brepl::predict::semistatic::{loop_correlation_report, profile_report};
 use brepl::predict::simulate_dynamic;
 use brepl::sim::{Machine, RunConfig};
@@ -222,7 +222,7 @@ fn cmd_shootout(args: &[String]) -> Result<(), String> {
         ),
         (
             "2bit counter",
-            simulate_dynamic(&mut TwoBitCounters::new(), &trace).misprediction_percent(),
+            simulate_dynamic(&mut SaturatingCounters::new(2), &trace).misprediction_percent(),
         ),
         (
             "two-level 4K",

@@ -6,7 +6,7 @@
 mod common;
 
 use brepl::ir::BranchId;
-use brepl::predict::dynamic::{LastDirection, SaturatingCounters, TwoBitCounters, TwoLevel};
+use brepl::predict::dynamic::{LastDirection, SaturatingCounters, TwoLevel};
 use brepl::predict::semistatic::{combine_best, loop_report, profile_report};
 use brepl::predict::{simulate_dynamic, HistoryKind, PatternTableSet};
 use brepl::trace::{Trace, TraceEvent};
@@ -65,7 +65,7 @@ fn reports_cover_all_events() {
             n
         );
         assert_eq!(
-            simulate_dynamic(&mut TwoBitCounters::new(), &trace).total(),
+            simulate_dynamic(&mut SaturatingCounters::new(2), &trace).total(),
             n
         );
         assert_eq!(

@@ -2,7 +2,7 @@
 //! for must hold on the suite, whatever the absolute numbers do. These are
 //! the guarantees EXPERIMENTS.md reports.
 
-use brepl::predict::dynamic::{LastDirection, TwoBitCounters, TwoLevel};
+use brepl::predict::dynamic::{LastDirection, SaturatingCounters, TwoLevel};
 use brepl::predict::semistatic::{combine_best, correlation_report, loop_report, profile_report};
 use brepl::predict::{simulate_dynamic, HistoryKind, PatternTableSet};
 use brepl::trace::Trace;
@@ -50,7 +50,7 @@ fn counters_beat_last_direction_on_average() {
     let mut counter = 0.0;
     for (_, t) in &traces {
         last += simulate_dynamic(&mut LastDirection::new(), t).misprediction_percent();
-        counter += simulate_dynamic(&mut TwoBitCounters::new(), t).misprediction_percent();
+        counter += simulate_dynamic(&mut SaturatingCounters::new(2), t).misprediction_percent();
     }
     assert!(
         counter < last,
