@@ -55,10 +55,7 @@ fn main() {
         result.replicated_misprediction_percent
     );
     println!("code size growth       : {:.2}x", result.size_growth);
-    println!(
-        "branches improved      : {}",
-        result.selection.improved_branches()
-    );
+    println!("branches replicated    : {}", result.replicated_sites.len());
     println!();
     println!("replicated program:\n{}", result.program.module);
 }
