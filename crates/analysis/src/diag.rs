@@ -175,8 +175,7 @@ impl DiagCode {
         }
     }
 
-    /// Every code, in `BR001..` order — the index in this array is the
-    /// code's position in [`LintConfig`]'s override table.
+    /// Every code, in `BR001..` order.
     pub const ALL: [DiagCode; 24] = [
         DiagCode::UnreachableReplica,
         DiagCode::DeadStore,
@@ -204,42 +203,12 @@ impl DiagCode {
         DiagCode::FlappingSite,
     ];
 
-    /// The code's index into [`DiagCode::ALL`].
-    fn index(self) -> usize {
-        match self {
-            DiagCode::UnreachableReplica => 0,
-            DiagCode::DeadStore => 1,
-            DiagCode::UseBeforeDef => 2,
-            DiagCode::OrphanReplicaEdge => 3,
-            DiagCode::InstStreamMismatch => 4,
-            DiagCode::PredictionMismatch => 5,
-            DiagCode::LiveInMismatch => 6,
-            DiagCode::InvalidReplicaMap => 7,
-            DiagCode::HistoryPredictionViolation => 8,
-            DiagCode::HistoryConflict => 9,
-            DiagCode::UnreachableMachineState => 10,
-            DiagCode::ProductFixpointFailure => 11,
-            DiagCode::ProfileProofConflict => 12,
-            DiagCode::ProfileBiasConflict => 13,
-            DiagCode::ProfileEventOnUnreachable => 14,
-            DiagCode::PredictionProofConflict => 15,
-            DiagCode::ClassifyFixpointFailure => 16,
-            DiagCode::ConstantConditionBranch => 17,
-            DiagCode::EstimateDriftConflict => 18,
-            DiagCode::EstimateUnreachableMass => 19,
-            DiagCode::EstimateConservationViolation => 20,
-            DiagCode::EstimateFixpointFailure => 21,
-            DiagCode::PatchRejected => 22,
-            DiagCode::FlappingSite => 23,
-        }
-    }
-
-    /// The default severity of every diagnostic carrying this code (see
-    /// [`LintConfig`] for per-code overrides). The warning codes describe
-    /// suspicious-but-sound situations (the simulator zero-initializes
-    /// registers, unreachable/dead code cannot execute, an unreached
-    /// machine state only wastes size); the rest break the simulation
-    /// relation or the history encoding.
+    /// The severity of every diagnostic carrying this code; no setting
+    /// changes it. The warning codes describe suspicious-but-sound
+    /// situations (the simulator zero-initializes registers,
+    /// unreachable/dead code cannot execute, an unreached machine state
+    /// only wastes size); the rest break the simulation relation or the
+    /// history encoding.
     pub fn severity(self) -> Severity {
         match self {
             DiagCode::UnreachableReplica
@@ -343,90 +312,19 @@ impl fmt::Display for AnalysisDiag {
     }
 }
 
-/// A per-code lint level: suppress the code entirely, or force a severity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LintLevel {
-    /// Drop diagnostics with this code.
-    Allow,
-    /// Report as a warning, regardless of the code's default severity.
-    Warn,
-    /// Report as an error, regardless of the code's default severity.
-    Error,
-}
-
-/// Per-code severity overrides for the validators and lints.
-///
-/// By default every code keeps [`DiagCode::severity`]; a workload (or a
-/// pipeline embedding) can suppress a code it has audited, or promote a
-/// warning it wants to gate on:
-///
-/// ```
-/// use brepl_analysis::{AnalysisDiag, DiagCode, LintConfig, LintLevel};
-/// use brepl_ir::{FuncId, Loc};
-///
-/// let cfg = LintConfig::new()
-///     .set(DiagCode::DeadStore, LintLevel::Allow)
-///     .set(DiagCode::UnreachableReplica, LintLevel::Error);
-/// let diag = |code| AnalysisDiag::new(code, Loc::function(FuncId(0)), "");
-/// let (errors, warnings) = cfg.partition(vec![
-///     diag(DiagCode::DeadStore),
-///     diag(DiagCode::UnreachableReplica),
-///     // Untouched codes keep their defaults.
-///     diag(DiagCode::PredictionMismatch),
-/// ]);
-/// let codes: Vec<DiagCode> = errors.iter().map(|d| d.code).collect();
-/// assert_eq!(codes, [DiagCode::UnreachableReplica, DiagCode::PredictionMismatch]);
-/// assert!(warnings.is_empty());
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LintConfig {
-    levels: [Option<LintLevel>; DiagCode::ALL.len()],
-}
+/// The split of gate output into errors and warnings, by each code's one
+/// severity ([`DiagCode::severity`]). It has no settings: every gate
+/// verdict, the pipeline's and the re-specializer's patch re-proof alike,
+/// follows the same split.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LintConfig;
 
 impl LintConfig {
-    /// A config with no overrides: every code keeps its default severity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides one code's level (builder style).
-    #[must_use]
-    pub fn set(mut self, code: DiagCode, level: LintLevel) -> Self {
-        self.levels[code.index()] = Some(level);
-        self
-    }
-
-    /// The effective severity of `code` under this config; `None` means
-    /// the code is suppressed.
-    fn effective_severity(&self, code: DiagCode) -> Option<Severity> {
-        match self.levels[code.index()] {
-            None => Some(code.severity()),
-            Some(LintLevel::Allow) => None,
-            Some(LintLevel::Warn) => Some(Severity::Warning),
-            Some(LintLevel::Error) => Some(Severity::Error),
-        }
-    }
-
-    /// Splits `diags` into `(errors, warnings)` under this config,
-    /// dropping suppressed codes.
+    /// Splits `diags` into `(errors, warnings)`, keeping their order.
     pub fn partition(&self, diags: Vec<AnalysisDiag>) -> (Vec<AnalysisDiag>, Vec<AnalysisDiag>) {
-        let mut errors = Vec::new();
-        let mut warnings = Vec::new();
-        for d in diags {
-            match self.effective_severity(d.code) {
-                Some(Severity::Error) => errors.push(d),
-                Some(Severity::Warning) => warnings.push(d),
-                None => {}
-            }
-        }
-        (errors, warnings)
-    }
-
-    /// True when any diagnostic is an error under this config.
-    pub fn has_errors(&self, diags: &[AnalysisDiag]) -> bool {
         diags
-            .iter()
-            .any(|d| self.effective_severity(d.code) == Some(Severity::Error))
+            .into_iter()
+            .partition(|d| d.severity() == Severity::Error)
     }
 }
 
@@ -466,9 +364,8 @@ mod tests {
         assert_eq!(DiagCode::EstimateFixpointFailure.as_str(), "BR022");
         assert_eq!(DiagCode::PatchRejected.as_str(), "BR023");
         assert_eq!(DiagCode::FlappingSite.as_str(), "BR024");
-        // The ALL order is the BR-number order, and index() agrees with it.
+        // The ALL order is the BR-number order.
         for (i, c) in DiagCode::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i);
             assert_eq!(c.as_str(), format!("BR{:03}", i + 1));
         }
     }
@@ -534,173 +431,6 @@ mod tests {
         // shipped program is still the last gate-clean one.
         assert_eq!(DiagCode::PatchRejected.severity(), Severity::Error);
         assert_eq!(DiagCode::FlappingSite.severity(), Severity::Warning);
-    }
-
-    #[test]
-    fn lint_config_overrides_and_partitions() {
-        let cfg = LintConfig::new()
-            .set(DiagCode::DeadStore, LintLevel::Error)
-            .set(DiagCode::UnreachableReplica, LintLevel::Allow)
-            .set(DiagCode::PredictionMismatch, LintLevel::Warn);
-        assert_eq!(
-            cfg.effective_severity(DiagCode::DeadStore),
-            Some(Severity::Error)
-        );
-        assert_eq!(cfg.effective_severity(DiagCode::UnreachableReplica), None);
-        assert_eq!(
-            cfg.effective_severity(DiagCode::PredictionMismatch),
-            Some(Severity::Warning)
-        );
-        // Untouched codes keep defaults.
-        assert_eq!(
-            cfg.effective_severity(DiagCode::HistoryConflict),
-            Some(Severity::Error)
-        );
-
-        let loc = Loc::block(FuncId(0), BlockId(0));
-        let diags = vec![
-            AnalysisDiag::new(DiagCode::DeadStore, loc, "promoted"),
-            AnalysisDiag::new(DiagCode::UnreachableReplica, loc, "dropped"),
-            AnalysisDiag::new(DiagCode::PredictionMismatch, loc, "demoted"),
-        ];
-        assert!(cfg.has_errors(&diags));
-        let (errors, warnings) = cfg.partition(diags);
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].code, DiagCode::DeadStore);
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].code, DiagCode::PredictionMismatch);
-
-        // The default config reproduces the plain has_errors split.
-        let default = LintConfig::new();
-        let diags = vec![AnalysisDiag::new(DiagCode::DeadStore, loc, "warn")];
-        assert!(!default.has_errors(&diags));
-        let (e, w) = default.partition(diags);
-        assert!(e.is_empty());
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn lint_config_covers_classification_codes() {
-        // The override table is sized by DiagCode::ALL, so the new codes
-        // thread through set/effective_severity/partition like the old.
-        let cfg = LintConfig::new()
-            .set(DiagCode::ProfileProofConflict, LintLevel::Warn)
-            .set(DiagCode::ConstantConditionBranch, LintLevel::Error)
-            .set(DiagCode::ProfileBiasConflict, LintLevel::Allow);
-        assert_eq!(
-            cfg.effective_severity(DiagCode::ProfileProofConflict),
-            Some(Severity::Warning)
-        );
-        assert_eq!(
-            cfg.effective_severity(DiagCode::ConstantConditionBranch),
-            Some(Severity::Error)
-        );
-        assert_eq!(cfg.effective_severity(DiagCode::ProfileBiasConflict), None);
-        // Untouched classification codes keep their defaults.
-        assert_eq!(
-            cfg.effective_severity(DiagCode::ProfileEventOnUnreachable),
-            Some(Severity::Error)
-        );
-        assert_eq!(
-            cfg.effective_severity(DiagCode::PredictionProofConflict),
-            Some(Severity::Error)
-        );
-        assert_eq!(
-            cfg.effective_severity(DiagCode::ClassifyFixpointFailure),
-            Some(Severity::Error)
-        );
-
-        let loc = Loc::block(FuncId(0), BlockId(0));
-        let diags = vec![
-            AnalysisDiag::new(DiagCode::ProfileProofConflict, loc, "demoted"),
-            AnalysisDiag::new(DiagCode::ProfileBiasConflict, loc, "dropped"),
-            AnalysisDiag::new(DiagCode::ConstantConditionBranch, loc, "promoted"),
-            AnalysisDiag::new(DiagCode::ProfileEventOnUnreachable, loc, "default"),
-        ];
-        let (errors, warnings) = cfg.partition(diags);
-        assert_eq!(errors.len(), 2);
-        assert_eq!(errors[0].code, DiagCode::ConstantConditionBranch);
-        assert_eq!(errors[1].code, DiagCode::ProfileEventOnUnreachable);
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].code, DiagCode::ProfileProofConflict);
-    }
-
-    #[test]
-    fn lint_config_covers_estimate_codes() {
-        // BR019-BR022 thread through the auto-sized override table just
-        // like every earlier batch of codes.
-        let cfg = LintConfig::new()
-            .set(DiagCode::EstimateDriftConflict, LintLevel::Warn)
-            .set(DiagCode::EstimateUnreachableMass, LintLevel::Allow)
-            .set(DiagCode::EstimateFixpointFailure, LintLevel::Warn);
-        assert_eq!(
-            cfg.effective_severity(DiagCode::EstimateDriftConflict),
-            Some(Severity::Warning)
-        );
-        assert_eq!(
-            cfg.effective_severity(DiagCode::EstimateUnreachableMass),
-            None
-        );
-        assert_eq!(
-            cfg.effective_severity(DiagCode::EstimateFixpointFailure),
-            Some(Severity::Warning)
-        );
-        // Untouched estimate codes keep their error default.
-        assert_eq!(
-            cfg.effective_severity(DiagCode::EstimateConservationViolation),
-            Some(Severity::Error)
-        );
-
-        let loc = Loc::block(FuncId(0), BlockId(0));
-        let diags = vec![
-            AnalysisDiag::new(DiagCode::EstimateDriftConflict, loc, "demoted"),
-            AnalysisDiag::new(DiagCode::EstimateUnreachableMass, loc, "dropped"),
-            AnalysisDiag::new(DiagCode::EstimateConservationViolation, loc, "default"),
-        ];
-        assert!(cfg.has_errors(&diags));
-        let (errors, warnings) = cfg.partition(diags);
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].code, DiagCode::EstimateConservationViolation);
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].code, DiagCode::EstimateDriftConflict);
-    }
-
-    #[test]
-    fn lint_config_covers_respec_codes() {
-        // BR023/BR024 thread through the auto-sized override table just
-        // like every earlier batch of codes.
-        let cfg = LintConfig::new()
-            .set(DiagCode::PatchRejected, LintLevel::Warn)
-            .set(DiagCode::FlappingSite, LintLevel::Error);
-        assert_eq!(
-            cfg.effective_severity(DiagCode::PatchRejected),
-            Some(Severity::Warning)
-        );
-        assert_eq!(
-            cfg.effective_severity(DiagCode::FlappingSite),
-            Some(Severity::Error)
-        );
-        // Untouched, they keep their defaults.
-        let default = LintConfig::new();
-        assert_eq!(
-            default.effective_severity(DiagCode::PatchRejected),
-            Some(Severity::Error)
-        );
-        assert_eq!(
-            default.effective_severity(DiagCode::FlappingSite),
-            Some(Severity::Warning)
-        );
-
-        let loc = Loc::block(FuncId(0), BlockId(0));
-        let diags = vec![
-            AnalysisDiag::new(DiagCode::PatchRejected, loc, "demoted"),
-            AnalysisDiag::new(DiagCode::FlappingSite, loc, "promoted"),
-        ];
-        let (errors, warnings) = cfg.partition(diags);
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].code, DiagCode::FlappingSite);
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].code, DiagCode::PatchRejected);
     }
 
     #[test]

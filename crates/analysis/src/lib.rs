@@ -5,10 +5,9 @@
 //! static machinery to trust that rewrite — and to reason about the IR in
 //! general:
 //!
-//! * a generic **worklist dataflow solver** ([`solve`]) over
-//!   [`brepl_cfg::Cfg`] graphs, parameterized by direction and meet
-//!   ([`DataflowAnalysis`] for arbitrary lattices, [`GenKill`] for
-//!   bit-vector problems);
+//! * a **worklist dataflow solver** ([`solve`]) for gen/kill bit-vector
+//!   problems ([`GenKill`]) over [`brepl_cfg::Cfg`] graphs, forward or
+//!   backward, with a union or intersection meet;
 //! * concrete analyses for the non-SSA register IR: [`liveness`] and
 //!   [`use_before_def`] (block reachability is
 //!   [`brepl_cfg::Cfg::reachable`]);
@@ -25,8 +24,8 @@
 //!   through the replicated control flow for per-site misprediction
 //!   bounds;
 //! * a diagnostics layer ([`AnalysisDiag`]) with stable codes `BR001`
-//!   through `BR012`, [`lint_module`] for the warning-severity lints, and
-//!   [`LintConfig`] for per-code severity overrides.
+//!   through `BR024`, each with one severity ([`DiagCode::severity`]),
+//!   and [`lint_module`] for the warning-severity lints.
 //!
 //! ```
 //! use brepl_analysis::{validate_replication, ReplicaMap};
@@ -71,7 +70,7 @@ pub use classify::{
 };
 pub use const_prop::{AbsVal, ConstProp, Env, FuncValues};
 pub use cost::{static_cost, CostError, CostReport, SiteCost};
-pub use diag::{has_errors, AnalysisDiag, DiagCode, LintConfig, LintLevel, Severity};
+pub use diag::{has_errors, AnalysisDiag, DiagCode, LintConfig, Severity};
 pub use freq::{
     bias_error, estimate_profile, static_profile_diags, BiasEstimate, FuncProfile, SiteEstimate,
     StaticProfile, CONSERVATION_EPS,
@@ -86,8 +85,7 @@ pub use product::{
 };
 pub use replica_map::{ReplicaFuncMap, ReplicaMap};
 pub use solver::{
-    default_solve_budget, solve, DataflowAnalysis, DataflowSolution, Direction, GenKill, Meet,
-    SolveStats,
+    default_solve_budget, solve, DataflowSolution, Direction, GenKill, Meet, SolveStats,
 };
 pub use uninit::{use_before_def, UseBeforeDef};
 pub use validate::validate_replication;

@@ -1,12 +1,14 @@
-//! The generic worklist dataflow solver.
+//! The worklist solver for gen/kill bit-vector problems.
 //!
-//! An analysis implements [`DataflowAnalysis`] (arbitrary meet lattice) or
-//! instantiates the ready-made [`GenKill`] engine (bit-vector problems:
-//! transfer `out = gen ∪ (in − kill)` with a union or intersection meet).
-//! [`solve`] runs the classic iterative worklist algorithm over a
-//! [`Cfg`], seeding the worklist in reverse postorder for forward problems
-//! and postorder for backward ones, and returns per-block facts at block
-//! entry and exit. Unreachable blocks keep the top fact.
+//! A [`GenKill`] problem has the transfer `out = gen ∪ (in − kill)` and a
+//! union or intersection meet. [`solve`] runs the classic iterative
+//! worklist algorithm over a [`Cfg`], seeding the worklist in reverse
+//! postorder for forward problems and postorder for backward ones, and
+//! returns per-block facts at block entry and exit. Unreachable blocks
+//! keep the top fact. The transfer is monotone and the lattice finite, so
+//! the worklist always drains. [`SolveStats`] and
+//! [`default_solve_budget`] serve the step-capped fixpoints elsewhere in
+//! the crate (constant propagation and frequency propagation).
 
 use brepl_cfg::{postorder, reverse_postorder, Cfg};
 use brepl_ir::BlockId;
@@ -16,43 +18,19 @@ use crate::bitset::BitSet;
 /// Which way facts flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
-    /// Facts flow along CFG edges (e.g. reaching definitions).
+    /// Facts flow along CFG edges (e.g. definitely-assigned registers).
     Forward,
     /// Facts flow against CFG edges (e.g. liveness).
     Backward,
 }
 
-/// A dataflow problem over an arbitrary meet semilattice.
-pub trait DataflowAnalysis {
-    /// The lattice element attached to each program point.
-    type Fact: Clone + PartialEq;
-
-    /// Which way facts flow.
-    fn direction(&self) -> Direction;
-
-    /// The fact at the boundary: function entry for forward problems,
-    /// every function exit (`ret` terminator) for backward problems.
-    fn boundary_fact(&self) -> Self::Fact;
-
-    /// The identity of the meet (the optimistic initial fact).
-    fn top_fact(&self) -> Self::Fact;
-
-    /// `acc = acc ⊓ other`; returns true when `acc` changed.
-    fn meet_into(&self, acc: &mut Self::Fact, other: &Self::Fact) -> bool;
-
-    /// The block transfer function, applied to the fact flowing *into* the
-    /// block (at its entry for forward problems, at its exit for backward
-    /// ones).
-    fn transfer(&self, block: BlockId, input: &Self::Fact) -> Self::Fact;
-}
-
 /// Per-block fixpoint facts produced by [`solve`].
 #[derive(Clone, Debug)]
-pub struct DataflowSolution<F> {
+pub struct DataflowSolution {
     /// The fact holding at each block's entry.
-    pub entry: Vec<F>,
+    pub entry: Vec<BitSet>,
     /// The fact holding at each block's exit.
-    pub exit: Vec<F>,
+    pub exit: Vec<BitSet>,
 }
 
 /// Convergence accounting of a step-capped fixpoint run.
@@ -67,38 +45,21 @@ pub struct SolveStats {
     pub converged: bool,
 }
 
-/// The default step budget for a CFG with `n_blocks` blocks.
-///
-/// Every in-crate analysis is a monotone bit-vector problem that converges
-/// in at most `blocks × lattice-height` block-processings, far below this
-/// bound — the budget exists so an adversarial [`DataflowAnalysis`]
-/// implementation (a non-monotone transfer, an unbounded lattice) makes
-/// [`solve`] terminate with `converged: false` instead of spinning forever.
+/// The default step budget of a step-capped fixpoint over a CFG with
+/// `n_blocks` blocks: generous for any monotone problem of bounded
+/// height, and finite, so a fixpoint that fails to converge reports
+/// `converged: false` instead of spinning forever.
 pub fn default_solve_budget(n_blocks: usize) -> u64 {
     (n_blocks as u64).saturating_mul(1024).max(1 << 16)
 }
 
-/// Runs the worklist algorithm for `analysis` over `cfg` to a fixpoint.
-///
-/// Termination requires the usual conditions: a finite-height lattice and a
-/// monotone transfer function. All analyses in this crate satisfy both; as
-/// a backstop, iteration is capped at [`default_solve_budget`] steps.
-pub fn solve<A: DataflowAnalysis>(cfg: &Cfg, analysis: &A) -> DataflowSolution<A::Fact> {
-    solve_metered(cfg, analysis, default_solve_budget(cfg.len())).0
-}
-
-/// [`solve`] with an explicit step budget, reporting whether the worklist
-/// actually drained. Each worklist pop costs one step; when `max_steps`
-/// runs out the queue is abandoned and `converged` is false.
-fn solve_metered<A: DataflowAnalysis>(
-    cfg: &Cfg,
-    analysis: &A,
-    max_steps: u64,
-) -> (DataflowSolution<A::Fact>, SolveStats) {
+/// Runs the worklist algorithm for `problem` over `cfg` to its fixpoint.
+pub fn solve(cfg: &Cfg, problem: &GenKill) -> DataflowSolution {
     let n = cfg.len();
-    let forward = analysis.direction() == Direction::Forward;
-    let mut entry = vec![analysis.top_fact(); n];
-    let mut exit = vec![analysis.top_fact(); n];
+    let forward = problem.direction == Direction::Forward;
+    let top = problem.top();
+    let mut entry = vec![top.clone(); n];
+    let mut exit = vec![top.clone(); n];
 
     // Seed in an order that visits definers before users where possible, so
     // most facts converge in one or two sweeps.
@@ -113,36 +74,31 @@ fn solve_metered<A: DataflowAnalysis>(
         queued[b.index()] = true;
     }
 
-    let mut steps = 0u64;
-    let mut converged = true;
     while let Some(b) = queue.pop_front() {
-        if steps >= max_steps {
-            converged = false;
-            break;
-        }
-        steps += 1;
         queued[b.index()] = false;
         let i = b.index();
 
         // Meet the facts flowing into this block.
-        let mut incoming = analysis.top_fact();
+        let mut incoming = top.clone();
         if forward {
             if b == cfg.entry() {
-                analysis.meet_into(&mut incoming, &analysis.boundary_fact());
+                problem.meet_into(&mut incoming, &problem.boundary);
             }
             for &p in cfg.preds(b) {
-                analysis.meet_into(&mut incoming, &exit[p.index()]);
+                problem.meet_into(&mut incoming, &exit[p.index()]);
             }
         } else {
             if cfg.succs(b).is_empty() {
-                analysis.meet_into(&mut incoming, &analysis.boundary_fact());
+                problem.meet_into(&mut incoming, &problem.boundary);
             }
             for &s in cfg.succs(b) {
-                analysis.meet_into(&mut incoming, &entry[s.index()]);
+                problem.meet_into(&mut incoming, &entry[s.index()]);
             }
         }
 
-        let outgoing = analysis.transfer(b, &incoming);
+        let mut outgoing = incoming.clone();
+        outgoing.subtract(&problem.kill[i]);
+        outgoing.union_with(&problem.gen[i]);
         let (in_slot, out_slot) = if forward {
             (&mut entry[i], &mut exit[i])
         } else {
@@ -161,10 +117,7 @@ fn solve_metered<A: DataflowAnalysis>(
         }
     }
 
-    (
-        DataflowSolution { entry, exit },
-        SolveStats { steps, converged },
-    )
+    DataflowSolution { entry, exit }
 }
 
 /// The meet operator of a bit-vector problem.
@@ -176,7 +129,7 @@ pub enum Meet {
     Intersect,
 }
 
-/// A concrete gen/kill bit-vector problem, ready to hand to [`solve`]:
+/// A gen/kill bit-vector problem, ready to hand to [`solve`]:
 /// `transfer(b, in) = gen[b] ∪ (in − kill[b])`.
 #[derive(Clone, Debug)]
 pub struct GenKill {
@@ -184,7 +137,8 @@ pub struct GenKill {
     pub direction: Direction,
     /// Meet operator (determines the top fact).
     pub meet: Meet,
-    /// The fact at the boundary (entry or exits, per direction).
+    /// The fact at the boundary: function entry for forward problems,
+    /// every function exit (`ret` terminator) for backward problems.
     pub boundary: BitSet,
     /// Per-block generated facts.
     pub gen: Vec<BitSet>,
@@ -207,38 +161,21 @@ impl GenKill {
             domain,
         }
     }
-}
 
-impl DataflowAnalysis for GenKill {
-    type Fact = BitSet;
-
-    fn direction(&self) -> Direction {
-        self.direction
-    }
-
-    fn boundary_fact(&self) -> BitSet {
-        self.boundary.clone()
-    }
-
-    fn top_fact(&self) -> BitSet {
+    /// The identity of the meet: the optimistic initial fact.
+    fn top(&self) -> BitSet {
         match self.meet {
             Meet::Union => BitSet::new_empty(self.domain),
             Meet::Intersect => BitSet::new_full(self.domain),
         }
     }
 
-    fn meet_into(&self, acc: &mut BitSet, other: &BitSet) -> bool {
+    /// `acc = acc ⊓ other`.
+    fn meet_into(&self, acc: &mut BitSet, other: &BitSet) {
         match self.meet {
             Meet::Union => acc.union_with(other),
             Meet::Intersect => acc.intersect_with(other),
-        }
-    }
-
-    fn transfer(&self, block: BlockId, input: &BitSet) -> BitSet {
-        let mut out = input.clone();
-        out.subtract(&self.kill[block.index()]);
-        out.union_with(&self.gen[block.index()]);
-        out
+        };
     }
 }
 
@@ -315,23 +252,6 @@ mod tests {
         assert!(sol.entry[2].contains(0));
         assert!(sol.exit[1].contains(0));
         assert!(sol.entry[0].contains(0));
-    }
-
-    #[test]
-    fn budget_exhaustion_is_reported_not_hung() {
-        let f = looped();
-        let cfg = Cfg::new(&f);
-        let mut p = GenKill::new(Direction::Forward, Meet::Union, cfg.len(), 1);
-        p.gen[0].insert(0);
-        // One step cannot drain a 3-block worklist.
-        let (_, stats) = solve_metered(&cfg, &p, 1);
-        assert_eq!(stats.steps, 1);
-        assert!(!stats.converged);
-        // A generous budget converges and reports so.
-        let (sol, stats) = solve_metered(&cfg, &p, default_solve_budget(cfg.len()));
-        assert!(stats.converged);
-        assert!(stats.steps >= cfg.len() as u64);
-        assert!(sol.exit[2].contains(0));
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //! and [`brepl_analysis::check_history_cached`] over one cache). A
 //! committed patch then has one **verification window**: if the next
 //! observed segment does not improve the patched sites' measured miss
-//! rate by `min_improvement`, the whole patch transaction is rolled back
-//! to the byte-identical pre-patch program. Failed patches put their
-//! sites on exponential backoff (`2^failures` segments); at
-//! `max_failures` the site is quarantined from further patching and
-//! `BR024` (flapping-site) is emitted. Patches commit one transaction at
+//! rate by 0.02, the whole patch transaction is rolled back to the
+//! byte-identical pre-patch program. Failed patches put their sites on
+//! exponential backoff (`2^failures` segments); at the second failure
+//! the site is quarantined from further patching and `BR024`
+//! (flapping-site) is emitted. Patches commit one transaction at
 //! a time — while one awaits verification no new patch is proposed — so
 //! rollback is always a whole-program restore, never a partial undo.
 
@@ -53,39 +53,26 @@ use crate::replicate::{
 };
 use crate::select::Selection;
 
-/// Tunables for the re-specialization layer.
-#[derive(Clone, Copy, Debug)]
-pub struct RespecConfig {
-    /// Outcomes per CUSUM window (per site).
-    pub window: usize,
-    /// CUSUM slack `k`: per-window deviation below this is absorbed.
-    pub cusum_slack: f64,
-    /// CUSUM threshold `h`: accumulated deviation above this fires.
-    pub cusum_threshold: f64,
-    /// Minimum absolute miss-rate improvement a committed patch must show
-    /// in its verification window to survive.
-    pub min_improvement: f64,
-    /// Failed patches (gate rejection or rollback) before a site is
-    /// quarantined and `BR024` fires.
-    pub max_failures: u32,
-    /// How close (absolute taken-rate distance) a demoted site must
-    /// return to its planning-time rate to be re-inflated rather than
-    /// merely re-pinned.
-    pub reinflate_slack: f64,
-}
+/// Outcomes per CUSUM window (per site).
+const WINDOW: usize = 256;
+/// CUSUM slack `k`: per-window deviation below this is absorbed.
+const CUSUM_SLACK: f64 = 0.08;
+/// CUSUM threshold `h`: accumulated deviation above this fires.
+const CUSUM_THRESHOLD: f64 = 0.75;
+/// Minimum absolute miss-rate improvement a committed patch must show in
+/// its verification window to survive.
+const MIN_IMPROVEMENT: f64 = 0.02;
+/// Failed patches (gate rejection or rollback) before a site is
+/// quarantined and `BR024` fires.
+const MAX_FAILURES: u32 = 2;
+/// How close (absolute taken-rate distance) a demoted site must return to
+/// its planning-time rate to be re-inflated rather than merely re-pinned.
+const REINFLATE_SLACK: f64 = 0.1;
 
-impl Default for RespecConfig {
-    fn default() -> Self {
-        RespecConfig {
-            window: 256,
-            cusum_slack: 0.08,
-            cusum_threshold: 0.75,
-            min_improvement: 0.02,
-            max_failures: 2,
-            reinflate_slack: 0.1,
-        }
-    }
-}
+/// The re-specialization layer's configuration. It has no settings: the
+/// detector and verification parameters are the constants above.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RespecConfig;
 
 /// The kind of a minimal patch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,7 +192,6 @@ impl Folded {
 /// between segments. See the module docs for the full state machine.
 pub struct Respec<'m> {
     module: &'m Module,
-    config: RespecConfig,
     program: ReplicatedProgram,
     /// The planned machine for every machine-selected site, enabled or
     /// currently demoted.
@@ -244,7 +230,7 @@ impl<'m> Respec<'m> {
         shipped: &BTreeSet<BranchId>,
         plan_stats: &TraceStats,
         proved: &[(BranchId, bool)],
-        config: RespecConfig,
+        _config: RespecConfig,
     ) -> Result<Respec<'m>, ReplicateError> {
         let plan = selection.to_plan_filtered(|site| shipped.contains(&site));
         let base = plan.assignments.clone();
@@ -291,7 +277,6 @@ impl<'m> Respec<'m> {
 
         Ok(Respec {
             module,
-            config,
             program,
             base,
             enabled,
@@ -430,7 +415,6 @@ impl<'m> Respec<'m> {
     /// Registers a patch failure at `site`: exponential backoff, and
     /// quarantine + BR024 at the failure cap.
     fn register_failure(&mut self, site: BranchId, segment: usize) {
-        let cap = self.config.max_failures;
         let loc = self.site_loc(site);
         let Some(st) = self.sites.get_mut(&site) else {
             return;
@@ -440,7 +424,7 @@ impl<'m> Respec<'m> {
         st.s_pos = 0.0;
         st.s_neg = 0.0;
         st.s_miss = 0.0;
-        if st.failures >= cap && !st.quarantined {
+        if st.failures >= MAX_FAILURES && !st.quarantined {
             st.quarantined = true;
             let failures = st.failures;
             self.diags.push(
@@ -498,7 +482,7 @@ impl<'m> Respec<'m> {
     /// Resolves the pending verification window, if any. The window
     /// resolves on the first segment in which any member site executed;
     /// each member that executed must beat its *own* pre-patch miss
-    /// rate by `min_improvement`, and members that did not execute pass
+    /// rate by `MIN_IMPROVEMENT`, and members that did not execute pass
     /// trivially. One failing member rolls the whole transaction back:
     /// per-member verification means a regressing (or corrupted) pin
     /// cannot hide behind its siblings' improvements in a pooled rate.
@@ -520,7 +504,7 @@ impl<'m> Respec<'m> {
                 .unwrap_or((0, 0));
             any_events |= events > 0;
             let rate = misses as f64 / events.max(1) as f64;
-            let pass = events == 0 || rate <= pre - self.config.min_improvement;
+            let pass = events == 0 || rate <= pre - MIN_IMPROVEMENT;
             verdicts.push((site, idx, pre, rate, events, pass));
         }
         if !any_events {
@@ -547,8 +531,7 @@ impl<'m> Respec<'m> {
             let why = if !pass {
                 format!(
                     "measured miss rate {rate:.4} did not improve on \
-                     pre-patch {pre:.4} by {}",
-                    self.config.min_improvement
+                     pre-patch {pre:.4} by {MIN_IMPROVEMENT}"
                 )
             } else if events == 0 {
                 "a sibling member of the transaction regressed (this site \
@@ -633,8 +616,7 @@ impl<'m> Respec<'m> {
         segment: usize,
         folded: &BTreeMap<BranchId, Folded>,
     ) -> Vec<(BranchId, PatchKind, SiteCounts, f64)> {
-        let config = self.config;
-        let min_window = config.window / 2;
+        let min_window = WINDOW / 2;
         let mut proposals = Vec::new();
         for (&site, f) in folded {
             // Phase 1: advance the CUSUM accumulators under the mutable
@@ -647,24 +629,24 @@ impl<'m> Respec<'m> {
                     continue;
                 }
                 let mut drift = false;
-                for w in windowed_counts(&f.taken, config.window) {
+                for w in windowed_counts(&f.taken, WINDOW) {
                     if (w.total() as usize) < min_window {
                         continue;
                     }
                     let x = w.taken as f64 / w.total() as f64;
-                    st.s_pos = (st.s_pos + x - st.expect_rate - config.cusum_slack).max(0.0);
-                    st.s_neg = (st.s_neg + st.expect_rate - x - config.cusum_slack).max(0.0);
-                    if st.s_pos > config.cusum_threshold || st.s_neg > config.cusum_threshold {
+                    st.s_pos = (st.s_pos + x - st.expect_rate - CUSUM_SLACK).max(0.0);
+                    st.s_neg = (st.s_neg + st.expect_rate - x - CUSUM_SLACK).max(0.0);
+                    if st.s_pos > CUSUM_THRESHOLD || st.s_neg > CUSUM_THRESHOLD {
                         drift = true;
                     }
                 }
-                for w in windowed_counts(&f.miss, config.window) {
+                for w in windowed_counts(&f.miss, WINDOW) {
                     if (w.total() as usize) < min_window {
                         continue;
                     }
                     let m = w.taken as f64 / w.total() as f64;
-                    st.s_miss = (st.s_miss + m - st.expect_miss - config.cusum_slack).max(0.0);
-                    if st.s_miss > config.cusum_threshold {
+                    st.s_miss = (st.s_miss + m - st.expect_miss - CUSUM_SLACK).max(0.0);
+                    if st.s_miss > CUSUM_THRESHOLD {
                         drift = true;
                     }
                 }
@@ -689,7 +671,7 @@ impl<'m> Respec<'m> {
                 // a history-driven predictor does not care about the
                 // marginal. Just move the expectations so the detector
                 // re-arms on the new distribution.
-                if miss_rate <= expect_miss + config.cusum_slack {
+                if miss_rate <= expect_miss + CUSUM_SLACK {
                     if let Some(st) = self.sites.get_mut(&site) {
                         st.expect_rate = seg_rate;
                         st.expect_miss = miss_rate;
@@ -700,7 +682,7 @@ impl<'m> Respec<'m> {
                     to: counts.majority(),
                 }
             } else if self.demoted.contains(&site)
-                && (seg_rate - plan_rate).abs() <= config.reinflate_slack
+                && (seg_rate - plan_rate).abs() <= REINFLATE_SLACK
             {
                 PatchKind::Reinflate
             } else {

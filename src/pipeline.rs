@@ -45,9 +45,9 @@ pub struct PipelineConfig {
     pub max_states: usize,
     /// Interpreter limits for both profiling and verification runs.
     pub run: RunConfig,
-    /// Per-diagnostic-code severity overrides applied to every gate's
-    /// output (allow-listing a code, promoting warnings, demoting errors).
-    /// Default: every code at its built-in severity.
+    /// The split of every gate's diagnostics into errors and warnings:
+    /// each code at its one severity ([`brepl_analysis::DiagCode::severity`]).
+    /// It has no settings.
     pub lint: LintConfig,
     /// When true (default), additionally compare the original's profiling
     /// run against the shipped program's re-measure run — results, output
@@ -98,7 +98,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             max_states: 4,
             run: RunConfig::default(),
-            lint: LintConfig::new(),
+            lint: LintConfig,
             dynamic_backstop: true,
             max_size_growth: Some(3.0),
             max_realized_growth: None,
@@ -293,8 +293,8 @@ pub struct PipelineResult {
     /// Growth-budget backoff steps taken
     /// ([`PipelineConfig::max_realized_growth`]).
     pub size_backoffs: Vec<SizeBackoff>,
-    /// Warning-severity diagnostics of the static gates, as filtered by
-    /// [`PipelineConfig::lint`]: the last round's witness validator and
+    /// Warning-severity diagnostics of the static gates: the last
+    /// round's witness validator and
     /// history checker first, then the classification gate (e.g. `BR018`
     /// constant-condition notes), the estimate gate and the proof
     /// post-check. Error-severity diagnostics quarantine or abort instead
@@ -359,8 +359,8 @@ pub fn run_pipeline(
 /// (refinement compares the re-measure against the synthetic plan, which
 /// would punish honest estimate error, not transfer failure) and the
 /// dynamic backstop is off (there is no profiling run to compare
-/// against). Everything else — including strictness, lint overrides and
-/// the size budgets — applies unchanged.
+/// against). Everything else — including strictness and the size
+/// budgets — applies unchanged.
 ///
 /// # Errors
 ///
@@ -546,19 +546,17 @@ const GATES: [Gate; 5] = [
 ];
 
 /// The plan's enabled sites and the record of every site dropped from it.
-struct Ledger<'c> {
-    lint: &'c LintConfig,
+struct Ledger {
     strict: bool,
     enabled: BTreeSet<BranchId>,
     quarantined: Vec<QuarantinedSite>,
 }
 
-impl<'c> Ledger<'c> {
+impl Ledger {
     /// A ledger over `enabled`. With nothing enabled, any error from an
     /// enabled-sites gate is that gate's hard error.
-    fn new(config: &'c PipelineConfig, enabled: BTreeSet<BranchId>) -> Self {
+    fn new(config: &PipelineConfig, enabled: BTreeSet<BranchId>) -> Self {
         Ledger {
-            lint: &config.lint,
             strict: config.strict,
             enabled,
             quarantined: Vec::new(),
@@ -625,7 +623,7 @@ impl<'c> Ledger<'c> {
         Ok((warnings, false))
     }
 
-    /// The one place a gate's diagnostics become a verdict: lint
+    /// The one place a gate's diagnostics become a verdict: severity
     /// partition, strict (or hard) abort, then quarantine records with
     /// sorted, deduplicated codes and capped rendered reasons, as the
     /// gate's policy directs. Returns the warnings and whether the gate
@@ -637,7 +635,7 @@ impl<'c> Ledger<'c> {
         round: usize,
         rendered_in: &Module,
     ) -> Result<(Vec<AnalysisDiag>, bool), PipelineError> {
-        let (errors, warnings) = self.lint.partition(diags);
+        let (errors, warnings) = LintConfig.partition(diags);
         if errors.is_empty() {
             return Ok((warnings, false));
         }
@@ -931,8 +929,7 @@ fn drive(
     Ok((result, cls))
 }
 
-/// Tunables for [`run_pipeline_adaptive`]: the planning pipeline plus
-/// the re-specialization layer's knobs.
+/// Configuration of [`run_pipeline_adaptive`]: the planning pipeline's.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AdaptiveConfig {
     /// Planning-time pipeline configuration (profiling on the first
@@ -941,8 +938,10 @@ pub struct AdaptiveConfig {
     /// planning run — they attack the adaptive layer, and an honest plan
     /// is their precondition; every other point passes through unchanged.
     pub pipeline: PipelineConfig,
-    /// Re-specialization knobs (detection windows, CUSUM thresholds,
-    /// verification improvement floor, backoff caps).
+    /// The re-specialization layer's configuration. It has no settings:
+    /// the detector window, CUSUM slack and threshold, verification
+    /// floor, failure cap and re-inflation slack are constants of
+    /// [`brepl_core::Respec`].
     pub respec: brepl_core::RespecConfig,
 }
 
@@ -1282,7 +1281,7 @@ impl Chaos {
         cls: &Classification,
         profile: &mut StaticProfile,
         stats: &TraceStats,
-        ledger: &mut Ledger<'_>,
+        ledger: &mut Ledger,
     ) -> Result<Option<TraceStats>, PipelineError> {
         #[cfg(feature = "chaos")]
         if let Some(eng) = &mut self.engine {
