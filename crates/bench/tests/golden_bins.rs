@@ -4,7 +4,9 @@
 //!
 //! Covered: `headline`, `table1`–`table5`, `figures`, `crossdata`,
 //! `ablation`, and `gates` and `respec` in text and `--json` form
-//! (goldens `gates_json.txt` and `respec_json.txt`). A bin that exits
+//! (goldens `gates_json.txt` and `respec_json.txt`). `table5` also runs
+//! under `BREPL_THREADS=1` and `BREPL_THREADS=4` against the same golden:
+//! its output must not depend on the thread count. A bin that exits
 //! non-zero fails its test.
 //!
 //! On a mismatch the actual output is written under
@@ -17,14 +19,19 @@ use std::process::Command;
 
 /// Runs `exe` with `args` from the workspace root with `BREPL_SCALE`
 /// unset (so `figures` writes its CSVs under the root `target/`) and
-/// compares its stdout against `tests/golden/<name>.txt`.
-fn check_bin(name: &str, exe: &str, args: &[&str]) {
+/// `BREPL_THREADS` set to `threads` if given, and compares its stdout
+/// against `tests/golden/<name>.txt`.
+fn check_bin(name: &str, exe: &str, args: &[&str], threads: Option<&str>) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let workspace = root.ancestors().nth(2).expect("workspace root");
-    let out = Command::new(exe)
-        .args(args)
+    let mut cmd = Command::new(exe);
+    cmd.args(args)
         .current_dir(workspace)
-        .env_remove("BREPL_SCALE")
+        .env_remove("BREPL_SCALE");
+    if let Some(threads) = threads {
+        cmd.env("BREPL_THREADS", threads);
+    }
+    let out = cmd
         .output()
         .unwrap_or_else(|e| panic!("cannot run {exe}: {e}"));
     assert!(
@@ -41,7 +48,10 @@ fn check_bin(name: &str, exe: &str, args: &[&str]) {
     }
     let dir = workspace.join("target/golden_bins");
     std::fs::create_dir_all(&dir).expect("create target/golden_bins");
-    let written = dir.join(format!("{name}.txt"));
+    let written = match threads {
+        Some(threads) => dir.join(format!("{name}.threads{threads}.txt")),
+        None => dir.join(format!("{name}.txt")),
+    };
     std::fs::write(&written, &actual).expect("write actual output");
     panic!(
         "{} differs from the golden output; actual output written to {}",
@@ -54,7 +64,7 @@ macro_rules! golden_bins {
     ($($bin:ident),* $(,)?) => {$(
         #[test]
         fn $bin() {
-            check_bin(stringify!($bin), env!(concat!("CARGO_BIN_EXE_", stringify!($bin))), &[]);
+            check_bin(stringify!($bin), env!(concat!("CARGO_BIN_EXE_", stringify!($bin))), &[], None);
         }
     )*};
 }
@@ -65,10 +75,25 @@ golden_bins!(
 
 #[test]
 fn gates_json() {
-    check_bin("gates_json", env!("CARGO_BIN_EXE_gates"), &["--json"]);
+    check_bin("gates_json", env!("CARGO_BIN_EXE_gates"), &["--json"], None);
 }
 
 #[test]
 fn respec_json() {
-    check_bin("respec_json", env!("CARGO_BIN_EXE_respec"), &["--json"]);
+    check_bin(
+        "respec_json",
+        env!("CARGO_BIN_EXE_respec"),
+        &["--json"],
+        None,
+    );
+}
+
+#[test]
+fn table5_serial() {
+    check_bin("table5", env!("CARGO_BIN_EXE_table5"), &[], Some("1"));
+}
+
+#[test]
+fn table5_four_threads() {
+    check_bin("table5", env!("CARGO_BIN_EXE_table5"), &[], Some("4"));
 }

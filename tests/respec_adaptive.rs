@@ -1,13 +1,19 @@
 //! End-to-end tests for the runtime re-specialization layer
 //! ([`brepl::pipeline::run_pipeline_adaptive`]): drift recovery within
 //! 10% of a from-scratch re-plan, demotion and re-inflation of machine
-//! sites, proof-gated rollback, and flapping-site quarantine (`BR024`).
+//! sites, proof-gated rollback, flapping-site quarantine (`BR024`), and
+//! the driver's run reuse against one fresh run per segment.
 
-use brepl::core::{PatchKind, PatchOutcome, PatchRecord};
+mod common;
+
+use brepl::core::{PatchKind, PatchOutcome, PatchRecord, Respec, RespecConfig};
+use brepl::ir::{BranchId, Module, Value};
 use brepl::pipeline::{run_pipeline, run_pipeline_adaptive, AdaptiveConfig, PipelineConfig};
+use brepl::sim::Machine;
+use brepl::trace::Trace;
 use brepl::workloads::kmp;
 use brepl::workloads::synth::{gate_tape, input_gate_module, GatePattern};
-use brepl_analysis::DiagCode;
+use brepl_analysis::{classify_module, DiagCode};
 
 const N: usize = 2000;
 
@@ -233,4 +239,108 @@ fn flapping_site_is_quarantined_after_backoff() {
         r.program.module.fingerprint(),
         baseline.program.module.fingerprint()
     );
+}
+
+/// One observed segment: its branch events and misprediction percent.
+type SegmentRow = (u64, f64);
+
+/// `run_pipeline_adaptive` through the public [`Respec`] API, with one
+/// fresh interpreter run of the current program per segment: the driver
+/// reuses a run while the shipped module is unchanged. Each segment's
+/// misses count against the predictions current when it is observed, so
+/// a `SwapPin` committed on a reused run still shows in the next segment.
+fn adaptive_fresh_runs(
+    module: &Module,
+    segments: &[Vec<Value>],
+) -> (Vec<SegmentRow>, Vec<PatchRecord>) {
+    let config = AdaptiveConfig::default();
+    let run = config.pipeline.run;
+    let plan = run_pipeline(module, &[], &segments[0], config.pipeline).unwrap();
+    let mut profiler = Machine::new(module, run).unwrap();
+    profiler.set_input(segments[0].clone());
+    let plan_stats = profiler.run("main", &[]).unwrap().trace.stats();
+    let proved = classify_module(module).proved_sites();
+    let mut respec = Respec::new(
+        module,
+        &plan.selection,
+        &plan.replicated_sites,
+        &plan_stats,
+        &proved,
+        RespecConfig,
+    )
+    .unwrap();
+
+    let input: Vec<Value> = segments.iter().flatten().cloned().collect();
+    let bounds: Vec<usize> = segments
+        .iter()
+        .scan(0, |acc, seg| {
+            *acc += seg.len();
+            Some(*acc)
+        })
+        .collect();
+    let mut rows = Vec::with_capacity(segments.len());
+    for k in 0..segments.len() {
+        let mut m = Machine::new(&respec.program().module, run).unwrap();
+        m.set_input(input.clone());
+        let (outcome, marks) = m.run_segmented("main", &[], &bounds).unwrap();
+        let start = if k == 0 { 0 } else { marks[k - 1] };
+        let end = if k + 1 == segments.len() {
+            outcome.trace.len()
+        } else {
+            marks[k]
+        };
+        let predictions = &respec.program().predictions;
+        let mut slice = Trace::with_capacity(end - start);
+        let mut misses = 0u64;
+        for ev in outcome.trace.iter().skip(start).take(end - start) {
+            misses += u64::from(predictions.get(ev.site) != ev.taken);
+            slice.push(ev);
+        }
+        let events = slice.len() as u64;
+        let pct = if events == 0 {
+            0.0
+        } else {
+            100.0 * misses as f64 / events as f64
+        };
+        respec.observe(k, &slice);
+        rows.push((events, pct));
+    }
+    let (_, log, _) = respec.into_parts();
+    (rows, log)
+}
+
+/// The (site, kind, segment, outcome) of every patch-log entry.
+fn log_key(log: &[PatchRecord]) -> Vec<(BranchId, PatchKind, usize, PatchOutcome)> {
+    log.iter()
+        .map(|rec| (rec.site, rec.kind, rec.segment, rec.outcome))
+        .collect()
+}
+
+/// The driver's run reuse is invisible: on every drift scenario, one
+/// fresh run per segment yields the same per-segment events and
+/// misprediction (to the bit) and the same patch log.
+#[test]
+fn run_reuse_matches_fresh_runs_on_every_drift_scenario() {
+    for (name, module, segments) in common::drift_scenarios() {
+        let driver =
+            run_pipeline_adaptive(&module, &[], &segments, AdaptiveConfig::default()).unwrap();
+        let (rows, log) = adaptive_fresh_runs(&module, &segments);
+        assert_eq!(driver.segments.len(), rows.len(), "{name}");
+        for (seg, &(events, pct)) in driver.segments.iter().zip(&rows) {
+            assert_eq!(seg.events, events, "{name} segment {}", seg.segment);
+            assert_eq!(
+                seg.misprediction_percent.to_bits(),
+                pct.to_bits(),
+                "{name} segment {}: {} vs {pct}",
+                seg.segment,
+                seg.misprediction_percent
+            );
+        }
+        assert_eq!(log_key(&driver.patch_log), log_key(&log), "{name}");
+        assert!(
+            driver.segment_runs < segments.len(),
+            "{name}: the driver reused no run ({} runs)",
+            driver.segment_runs
+        );
+    }
 }
