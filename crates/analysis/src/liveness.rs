@@ -26,11 +26,6 @@ impl Liveness {
     pub fn live_in(&self, b: brepl_ir::BlockId) -> &BitSet {
         &self.live_in[b.index()]
     }
-
-    /// Registers live at the exit of `b`.
-    pub fn live_out(&self, b: brepl_ir::BlockId) -> &BitSet {
-        &self.live_out[b.index()]
-    }
 }
 
 /// Registers read by a terminator (a branch condition or return operand).
@@ -113,13 +108,13 @@ mod tests {
 
         // i is live at the head, around the back edge, and into the exit.
         assert!(live.live_in(head).contains(i.index()));
-        assert!(live.live_out(body).contains(i.index()));
+        assert!(live.live_out[body.index()].contains(i.index()));
         assert!(live.live_in(exit).contains(i.index()));
         // n (the param) is live at entry but dead after the loop.
         assert!(live.live_in(BlockId(0)).contains(n.index()));
         assert!(!live.live_in(exit).contains(n.index()));
         // Nothing is live at function exit.
-        assert!(live.live_out(exit).is_empty());
+        assert!(live.live_out[exit.index()].is_empty());
     }
 
     #[test]
@@ -137,7 +132,7 @@ mod tests {
         let cfg = Cfg::new(&f);
         let live = liveness(&f, &cfg);
         assert!(!live.live_in(next).contains(x.index()));
-        assert!(!live.live_out(BlockId(0)).contains(x.index()));
+        assert!(!live.live_out[0].contains(x.index()));
     }
 
     #[test]
