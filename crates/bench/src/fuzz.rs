@@ -18,8 +18,9 @@ use brepl_analysis::{
 };
 use brepl_core::ReplicatedProgram;
 use brepl_ir::{BranchId, Module, Value};
+use brepl_predict::StaticPrediction;
 use brepl_sim::{Machine, Outcome, RunConfig};
-use brepl_trace::TraceStats;
+use brepl_trace::{EventSink, SegmentFold, TraceStats};
 use brepl_workloads::synth::random_loop_module;
 
 /// Pipeline oracle: the full pipeline under `config`, with every gate and
@@ -120,7 +121,9 @@ pub fn replay_differential(
 /// them — the same result, steps and output tape, and counts equal to
 /// `trace.stats()` of the recorded trace — unsegmented and segmented
 /// alike, with the segmented run's marks equal between the two sinks and
-/// its outcome equal to the plain `run()`.
+/// its outcome equal to the plain `run()`. The segmented run then passes
+/// [`fold_differential`] under a provenance that groups the sites as
+/// replicas in threes and twos.
 ///
 /// # Errors
 ///
@@ -168,6 +171,157 @@ pub fn sink_differential(module: &Module, args: &[Value], input: &[Value]) -> Re
             || marks.last().is_some_and(|&end| end > recorded.trace.len())
         {
             return Err(format!("malformed marks {marks:?} for bounds {bounds:?}"));
+        }
+        if bounds.is_empty() {
+            continue;
+        }
+        // Replicas in groups of three and two: two- and one-bit ordinals.
+        let sites = module.branch_count();
+        let provenance: Vec<BranchId> = (0..sites)
+            .map(|s| BranchId::from_index(s * 2 / 5))
+            .collect();
+        let mut odd_taken = StaticPrediction::with_default(false);
+        for s in (1..sites).step_by(2) {
+            odd_taken.set(BranchId::from_index(s), true);
+        }
+        let recording = (&segmented, &marks[..], recorded_output.as_slice());
+        check_fold(
+            module,
+            &provenance,
+            &odd_taken,
+            args,
+            input,
+            bounds,
+            recording,
+        )?;
+    }
+    Ok(())
+}
+
+/// Segment-fold oracle: a run into a [`SegmentFold`] under `provenance`
+/// must be the run that records its trace, sliced at its marks the way
+/// the adaptive driver reads segments (segment `k` is
+/// `marks[k-1]..marks[k]`, and the last one runs to the end of the trace,
+/// drain events included). Per segment and original site: the same
+/// outcomes in the same order, the same replica for every event, and the
+/// same misses against `predictions`; per segment, the same per-replica
+/// counts. The whole run: the same result, steps, output tape and marks,
+/// and counts equal to `trace.stats()`.
+///
+/// # Errors
+///
+/// The first difference, described; a trap in either run.
+pub fn fold_differential(
+    module: &Module,
+    provenance: &[BranchId],
+    predictions: &StaticPrediction,
+    args: &[Value],
+    input: &[Value],
+    bounds: &[usize],
+) -> Result<(), String> {
+    let mut m = machine(module, input)?;
+    let (recorded, marks) = m
+        .run_segmented("main", args, bounds)
+        .map_err(|e| format!("recording run: {e}"))?;
+    let recording = (&recorded, &marks[..], m.output());
+    check_fold(
+        module,
+        provenance,
+        predictions,
+        args,
+        input,
+        bounds,
+        recording,
+    )
+}
+
+/// A segmented recording run: its outcome, marks and output tape.
+type Recording<'a> = (&'a Outcome, &'a [usize], &'a [Value]);
+
+/// [`fold_differential`] against an already recorded run.
+fn check_fold(
+    module: &Module,
+    provenance: &[BranchId],
+    predictions: &StaticPrediction,
+    args: &[Value],
+    input: &[Value],
+    bounds: &[usize],
+    (recorded, marks, recorded_output): Recording<'_>,
+) -> Result<(), String> {
+    let mut m = machine(module, input)?;
+    let folded = m
+        .run_with(
+            "main",
+            args,
+            bounds,
+            SegmentFold::new(provenance, bounds.len()),
+        )
+        .map_err(|e| format!("folding run: {e}"))?;
+    if folded.result != recorded.result || folded.steps != recorded.steps {
+        return Err(format!(
+            "folding run returned {:?} in {} steps, recording run {:?} in {}",
+            folded.result, folded.steps, recorded.result, recorded.steps
+        ));
+    }
+    if m.output() != recorded_output {
+        return Err("folding run wrote a different output tape".to_string());
+    }
+    if folded.marks != marks {
+        return Err(format!(
+            "segment marks differ: recording {marks:?}, folding {:?}",
+            folded.marks
+        ));
+    }
+    if *folded.sink.counts() != recorded.trace.stats() {
+        return Err("whole-run counts differ from trace.stats()".to_string());
+    }
+    let pins: Vec<bool> = (0..provenance.len())
+        .map(|s| predictions.get(BranchId::from_index(s)))
+        .collect();
+    let segments = bounds.len().max(1);
+    for k in 0..segments {
+        let start = if k == 0 { 0 } else { marks[k - 1] };
+        let end = if k + 1 == segments {
+            recorded.trace.len()
+        } else {
+            marks[k]
+        };
+        let seg = folded.sink.segment(k);
+        let mut want: Vec<Vec<(BranchId, bool)>> = vec![Vec::new(); seg.sites.len()];
+        let mut counts = TraceStats::default();
+        for ev in recorded.trace.iter().skip(start).take(end - start) {
+            want[provenance[ev.site.index()].index()].push((ev.site, ev.taken));
+            counts.record(ev.site, ev.taken);
+        }
+        if seg.events() != (end - start) as u64 || seg.stats() != counts {
+            return Err(format!(
+                "segment {k}: the fold holds {} events, the slice {}, or their per-replica counts differ",
+                seg.events(),
+                end - start
+            ));
+        }
+        for (orig, (stream, want)) in seg.sites.iter().zip(&want).enumerate() {
+            let same_order = stream.taken.len() == want.len()
+                && want.iter().enumerate().all(|(i, &(site, taken))| {
+                    seg.replica(orig, i) == site && stream.taken.get(i) == taken
+                });
+            if !same_order {
+                return Err(format!(
+                    "segment {k}, original site {orig}: the fold's (replica, outcome) \
+                     order differs from the sliced trace's"
+                ));
+            }
+            let want_misses = want
+                .iter()
+                .filter(|&&(site, taken)| pins[site.index()] != taken)
+                .count() as u64;
+            let got_misses = seg.misses(orig, |r| predictions.get(r)).count_taken();
+            if got_misses != want_misses {
+                return Err(format!(
+                    "segment {k}, original site {orig}: {got_misses} misses folded, \
+                     {want_misses} in the slice"
+                ));
+            }
         }
     }
     Ok(())

@@ -24,7 +24,7 @@ use brepl_analysis::{
     check_history, validate_replication, AnalysisDiag, HistorySpec, Severity, TableState,
 };
 use brepl_ir::{BlockId, BranchId, FuncId, Module, Term};
-use brepl_trace::{Trace, TraceError};
+use brepl_trace::{Segment, SiteStream, Trace, TraceError};
 
 use crate::replicate::ReplicatedProgram;
 
@@ -378,50 +378,45 @@ impl ChaosEngine {
     /// [`ChaosPoint::InjectDrift`]: forges an observed segment so the
     /// victim site's outcomes flip from one quarter into its event stream
     /// — early enough that the whole-segment majority flips too, so the
-    /// detector both fires *and* proposes a patch. `patchable` lists the original
-    /// sites the re-specialization layer may patch (deterministic order);
-    /// `provenance` maps replica sites back to original sites, exactly as
-    /// the respec fold does. The forged drift provokes a spurious patch
-    /// the next *honest* segment must fail to verify, forcing a rollback
-    /// and `BR023` — module, witness, tables and planning trace all stay
-    /// honest, so `BR001`–`BR022` stay blind.
+    /// detector both fires *and* proposes a patch. `patchable` lists the
+    /// original sites the re-specialization layer may patch
+    /// (deterministic order); `seg` is already folded per original site,
+    /// the only order the flip reads. The forged drift provokes a
+    /// spurious patch the next *honest* segment must fail to verify,
+    /// forcing a rollback and `BR023` — module, witness, tables and
+    /// planning trace all stay honest, so `BR001`–`BR022` stay blind.
     ///
-    /// Returns the forged trace (the input is never mutated), or `None`
-    /// when the point is inactive, already fired, or no patchable site
-    /// has at least two events in the segment — in which case the
-    /// adaptive driver leaves the segment honest.
+    /// Returns the forged per-site streams, to stand in for
+    /// [`Segment::sites`] (the input is never mutated), or `None` when the
+    /// point is inactive, already fired, or no patchable site has at
+    /// least two events in the segment — in which case the adaptive
+    /// driver leaves the segment honest.
     pub fn inject_drift(
         &mut self,
-        seg: &Trace,
+        seg: Segment<'_>,
         patchable: &[BranchId],
-        provenance: &[BranchId],
-    ) -> Option<Trace> {
+    ) -> Option<Vec<SiteStream>> {
         if self.config.point != ChaosPoint::InjectDrift || self.injection.is_some() {
             return None;
         }
-        let orig_of = |site: BranchId| provenance.get(site.index()).copied().unwrap_or(site);
+        let events = |site: BranchId| seg.sites.get(site.index()).map_or(0, |s| s.taken.len());
         // A site needs events on both sides of the boundary for the flip
         // to read as a mid-segment distribution shift.
         let cands: Vec<BranchId> = patchable
             .iter()
             .copied()
-            .filter(|&s| seg.iter().filter(|ev| orig_of(ev.site) == s).count() >= 2)
+            .filter(|&s| events(s) >= 2)
             .collect();
         let victim = self.pin_victim(&cands)?;
-        let total = seg.iter().filter(|ev| orig_of(ev.site) == victim).count();
-        let mut forged = Trace::with_capacity(seg.len());
-        let mut nth = 0usize;
-        let mut flipped = 0usize;
-        for mut ev in seg.iter() {
-            if orig_of(ev.site) == victim {
-                if nth >= total / 4 {
-                    ev.taken = !ev.taken;
-                    flipped += 1;
-                }
-                nth += 1;
-            }
-            forged.push(ev);
-        }
+        let total = events(victim);
+        let mut forged = seg.sites.to_vec();
+        let stream = &mut forged[victim.index()].taken;
+        *stream = stream
+            .iter()
+            .enumerate()
+            .map(|(nth, taken)| taken ^ (nth >= total / 4))
+            .collect();
+        let flipped = total - total / 4;
         self.record(
             victim,
             format!(
@@ -778,6 +773,63 @@ mod tests {
         // Later calls (even with different candidates) keep the pin.
         assert_eq!(e.pin_victim(&cands[..1]), Some(first));
         assert_eq!(e.victim(), Some(first));
+    }
+
+    #[test]
+    fn inject_drift_flips_the_victim_from_a_quarter_onward() {
+        use brepl_trace::{EventSink, SegmentFold};
+        // Run sites 0 and 2 are replicas of original 0, sites 1 and 4 of
+        // original 1; original 3 (run site 5) executes once, too few to
+        // read as a shift.
+        let provenance: Vec<BranchId> = [0u32, 1, 0, 2, 1, 3].map(BranchId).to_vec();
+        let mut fold = SegmentFold::new(&provenance, 1);
+        for i in 0..301u32 {
+            let site = [0u32, 1, 2, 4, 0, 3, 2, 1][(i % 8) as usize];
+            fold.record(BranchId(site), (i * 7 + i / 5) % 3 == 0);
+        }
+        fold.record(BranchId(5), true);
+        let seg = fold.segment(0);
+        let patchable: Vec<BranchId> = (0..4).map(BranchId).collect();
+        // Victims and counts read from the trace-based forge this one
+        // replaced, on the same 302 events.
+        for (seed, victim, flipped, total, taken_after) in [
+            (0, 0, 114, 151, 144),
+            (1, 1, 85, 113, 141),
+            (3, 2, 28, 37, 126),
+        ] {
+            let mut e = ChaosEngine::new(ChaosConfig {
+                seed,
+                point: ChaosPoint::InjectDrift,
+            });
+            let forged = e
+                .inject_drift(seg, &patchable)
+                .expect("a victim has events");
+            let inj = e.injection().expect("the forge is recorded");
+            assert_eq!(inj.victim, BranchId(victim), "seed {seed}");
+            assert!(
+                inj.description
+                    .starts_with(&format!("flipped {flipped}/{total} observed outcomes")),
+                "seed {seed}: {}",
+                inj.description
+            );
+            let taken: u64 = forged.iter().map(|s| s.taken.count_taken()).sum();
+            assert_eq!(taken, taken_after, "seed {seed}");
+            for (orig, (f, honest)) in forged.iter().zip(seg.sites).enumerate() {
+                assert_eq!(f.replica, honest.replica);
+                let flips: Vec<bool> = f
+                    .taken
+                    .iter()
+                    .zip(honest.taken.iter())
+                    .map(|(a, b)| a != b)
+                    .collect();
+                let want: Vec<bool> = (0..flips.len())
+                    .map(|nth| orig == victim as usize && nth >= total / 4)
+                    .collect();
+                assert_eq!(flips, want, "seed {seed} site {orig}");
+            }
+            // One fault per run.
+            assert!(e.inject_drift(seg, &patchable).is_none());
+        }
     }
 
     #[test]

@@ -46,7 +46,9 @@ use brepl_analysis::{
     validate_replication_cached, AnalysisDiag, DiagCode, GateCache, Severity,
 };
 use brepl_ir::{BranchId, Loc, Module};
-use brepl_trace::{windowed_counts, PackedStream, SiteCounts, Trace, TraceStats};
+use brepl_trace::{
+    windowed_counts, EventSink, PackedStream, Segment, SegmentFold, SiteCounts, Trace, TraceStats,
+};
 
 use crate::replicate::{
     apply_plan, BranchMachine, ReplicateError, ReplicatedProgram, ReplicationPlan,
@@ -167,15 +169,14 @@ struct PendingVerify {
     snapshot: Snapshot,
 }
 
-/// One site's folded observation for a segment: the outcome stream and
-/// the shipped program's miss stream, both in that site's own order.
-#[derive(Default)]
-struct Folded {
-    taken: PackedStream,
+/// One site's observation for a segment: the outcome stream and the
+/// shipped program's miss stream, both in that site's own order.
+struct Folded<'a> {
+    taken: &'a PackedStream,
     miss: PackedStream,
 }
 
-impl Folded {
+impl Folded<'_> {
     fn counts(&self) -> SiteCounts {
         let taken = self.taken.count_taken();
         SiteCounts {
@@ -187,7 +188,8 @@ impl Folded {
 
 /// The drift-adaptive runtime layer for one shipped program.
 ///
-/// Feed it one observed trace segment at a time via [`Respec::observe`];
+/// Feed it one observed segment at a time via [`Respec::observe_segment`]
+/// (a segment of a [`SegmentFold`] run) or [`Respec::observe`] (a trace);
 /// read the (possibly re-patched) program back via [`Respec::program`]
 /// between segments. See the module docs for the full state machine.
 pub struct Respec<'m> {
@@ -442,30 +444,50 @@ impl<'m> Respec<'m> {
         }
     }
 
-    /// Folds an observed segment to per-original-site outcome and miss
-    /// streams under the program that produced it.
-    fn fold(&self, seg: &Trace) -> BTreeMap<BranchId, Folded> {
-        let provenance = &self.program.provenance;
-        let predictions = &self.program.predictions;
-        let mut folded: BTreeMap<BranchId, Folded> = BTreeMap::new();
-        for ev in seg.iter() {
-            let orig = provenance.get(ev.site.index()).copied().unwrap_or(ev.site);
-            let f = folded.entry(orig).or_default();
-            f.taken.push(ev.taken);
-            f.miss.push(predictions.get(ev.site) != ev.taken);
-        }
-        folded
-    }
-
-    /// Observes one trace segment produced by the *current* program and
-    /// applies at most one patch transaction. Returns the records
-    /// appended or resolved this call (resolved records are re-emitted
-    /// with their final outcome).
+    /// Observes one trace segment produced by the *current* program:
+    /// [`Self::observe_segment`] on the segment fed through a one-segment
+    /// [`SegmentFold`] under the program's provenance (a site the
+    /// provenance does not cover stands for itself).
     ///
     /// `segment` indices must be strictly increasing across calls.
     pub fn observe(&mut self, segment: usize, seg: &Trace) -> Vec<PatchRecord> {
+        let mut provenance = self.program.provenance.clone();
+        let sites = seg.max_site().map_or(0, |s| s.index() + 1);
+        provenance.extend((provenance.len()..sites).map(BranchId::from_index));
+        let mut fold = SegmentFold::new(&provenance, 1);
+        for ev in seg.iter() {
+            fold.record(ev.site, ev.taken);
+        }
+        self.observe_segment(segment, fold.segment(0))
+    }
+
+    /// Observes one segment of a run of the *current* program, folded per
+    /// original site, and applies at most one patch transaction. Misses
+    /// count against the predictions current now, so a segment of a run
+    /// made before a prediction-only patch reads as if run after it.
+    /// Returns the records appended or resolved this call (resolved
+    /// records are re-emitted with their final outcome).
+    ///
+    /// `segment` indices must be strictly increasing across calls.
+    pub fn observe_segment(&mut self, segment: usize, seg: Segment<'_>) -> Vec<PatchRecord> {
+        let predictions = &self.program.predictions;
+        let folded: BTreeMap<BranchId, Folded> = seg
+            .sites
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.taken.is_empty())
+            .map(|(orig, s)| {
+                let miss = seg.misses(orig, |r| predictions.get(r));
+                (
+                    BranchId::from_index(orig),
+                    Folded {
+                        taken: &s.taken,
+                        miss,
+                    },
+                )
+            })
+            .collect();
         let mut touched: Vec<usize> = Vec::new();
-        let folded = self.fold(seg);
         self.verify_pending(segment, &folded, &mut touched);
         self.check_proved(segment, &folded, &mut touched);
         if self.pending.is_none() {
@@ -489,7 +511,7 @@ impl<'m> Respec<'m> {
     fn verify_pending(
         &mut self,
         segment: usize,
-        folded: &BTreeMap<BranchId, Folded>,
+        folded: &BTreeMap<BranchId, Folded<'_>>,
         touched: &mut Vec<usize>,
     ) {
         let Some(pending) = self.pending.take() else {
@@ -561,7 +583,7 @@ impl<'m> Respec<'m> {
     fn check_proved(
         &mut self,
         segment: usize,
-        folded: &BTreeMap<BranchId, Folded>,
+        folded: &BTreeMap<BranchId, Folded<'_>>,
         touched: &mut Vec<usize>,
     ) {
         let contradicted: Vec<(BranchId, bool, SiteCounts)> = self
@@ -614,7 +636,7 @@ impl<'m> Respec<'m> {
     fn detect(
         &mut self,
         segment: usize,
-        folded: &BTreeMap<BranchId, Folded>,
+        folded: &BTreeMap<BranchId, Folded<'_>>,
     ) -> Vec<(BranchId, PatchKind, SiteCounts, f64)> {
         let min_window = WINDOW / 2;
         let mut proposals = Vec::new();
@@ -629,7 +651,7 @@ impl<'m> Respec<'m> {
                     continue;
                 }
                 let mut drift = false;
-                for w in windowed_counts(&f.taken, WINDOW) {
+                for w in windowed_counts(f.taken, WINDOW) {
                     if (w.total() as usize) < min_window {
                         continue;
                     }
@@ -723,7 +745,7 @@ impl<'m> Respec<'m> {
         &mut self,
         segment: usize,
         proposals: Vec<(BranchId, PatchKind, SiteCounts, f64)>,
-        folded: &BTreeMap<BranchId, Folded>,
+        folded: &BTreeMap<BranchId, Folded<'_>>,
         touched: &mut Vec<usize>,
     ) {
         let snapshot = self.snapshot();

@@ -864,7 +864,8 @@ pub(crate) struct State<'a, S> {
     /// boundary first becomes visible. Empty for ordinary runs; bounds
     /// never reached are left unmarked (the caller pads them).
     pub seg_bounds: &'a [usize],
-    /// Receives one event-count mark per crossed segment bound.
+    /// Receives one event-count mark per crossed segment bound; the sink
+    /// gets an [`EventSink::mark`] call with each.
     pub seg_marks: &'a mut Vec<usize>,
     /// Takes every executed conditional branch; moved into the loop, so
     /// it lives in registers like any local, and handed back at the end.
@@ -1065,6 +1066,7 @@ pub(crate) fn run<S: EventSink>(
                     && *input_pos >= seg_bounds[seg_marks.len()]
                 {
                     seg_marks.push(sink.events());
+                    sink.mark();
                 }
                 let v = if *input_pos < input.len() {
                     let v = input[*input_pos];

@@ -1,5 +1,7 @@
 //! The interpreter proper: a machine bound to a pre-decoded module.
 
+use std::borrow::Cow;
+
 use brepl_ir::{Module, Value};
 use brepl_trace::{EventSink, Trace};
 
@@ -76,15 +78,16 @@ impl From<Run<Trace>> for Outcome {
 /// beyond the committed end yields `Int(0)`, exactly what a zero-filled
 /// heap would hold there.
 ///
-/// The machine owns the heap and the I/O tapes; a fresh machine gives a
-/// fresh program state, so two runs with the same inputs are
-/// bit-identical — profiles are deterministic.
+/// The machine owns the heap and the output tape, and owns or borrows
+/// the input tape; a fresh machine gives a fresh program state, so two
+/// runs with the same inputs are bit-identical — profiles are
+/// deterministic.
 pub struct Machine<'m> {
     module: &'m Module,
     exec: ExecModule,
     heap: Vec<Value>,
     brk: usize,
-    input: Vec<Value>,
+    input: Cow<'m, [Value]>,
     input_pos: usize,
     output: Vec<Value>,
     prng: u64,
@@ -112,7 +115,7 @@ impl<'m> Machine<'m> {
             exec: ExecModule::decode(module),
             heap: Vec::new(),
             brk: module.globals,
-            input: Vec::new(),
+            input: Cow::Borrowed(&[]),
             input_pos: 0,
             output: Vec::new(),
             prng: config.seed | 1,
@@ -123,13 +126,31 @@ impl<'m> Machine<'m> {
 
     /// Replaces the input tape consumed by the `in()` intrinsic.
     pub fn set_input(&mut self, input: Vec<Value>) {
-        self.input = input;
+        self.input = Cow::Owned(input);
         self.input_pos = 0;
+    }
+
+    /// Replaces the input tape with a borrowed one: [`Self::set_input`]
+    /// without a copy of the tape.
+    pub fn borrow_input(&mut self, input: &'m [Value]) {
+        self.input = Cow::Borrowed(input);
+        self.input_pos = 0;
+    }
+
+    /// Reserves room for `n` more output values, so that a run whose
+    /// output length is known ahead does not grow its tape by doubling.
+    pub fn reserve_output(&mut self, n: usize) {
+        self.output.reserve_exact(n);
     }
 
     /// The values written by the `out()` intrinsic so far.
     pub fn output(&self) -> &[Value] {
         &self.output
+    }
+
+    /// Consumes the machine, moving its output tape out.
+    pub fn into_output(self) -> Vec<Value> {
+        self.output
     }
 
     /// Runs `entry(args)` to completion, recording every conditional branch.

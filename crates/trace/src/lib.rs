@@ -27,12 +27,14 @@
 #![warn(missing_docs)]
 
 mod codec;
+mod fold;
 mod packed;
 mod sink;
 mod stats;
 mod trace;
 mod window;
 
+pub use fold::{Segment, SegmentFold, SiteStream};
 pub use packed::{packed_site_streams, PackedStream};
 pub use sink::EventSink;
 pub use stats::{SiteCounts, TraceStats};

@@ -50,6 +50,35 @@ impl PackedStream {
         self.len += 1;
     }
 
+    /// Appends the low `width` bits of `bits`, least significant first,
+    /// as `width` outcomes. `width` must be a power of two no larger than
+    /// 64 and the stream length a multiple of it, so that the bits land
+    /// in one word; [`Self::bits`] reads them back.
+    pub fn push_bits(&mut self, bits: u64, width: u32) {
+        debug_assert!(width.is_power_of_two() && width <= 64);
+        debug_assert!(self.len.is_multiple_of(width as usize));
+        let bit = self.len % 64;
+        if bit == 0 {
+            self.words.push(0);
+        }
+        let mask = u64::MAX >> (64 - width);
+        *self.words.last_mut().expect("word pushed above") |= (bits & mask) << bit;
+        self.len += width as usize;
+    }
+
+    /// The `width` outcomes from index `at` as bits, least significant
+    /// first: the value [`Self::push_bits`] appended at `at`, under the
+    /// same alignment rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + width > len()`.
+    pub fn bits(&self, at: usize, width: u32) -> u64 {
+        assert!(at + width as usize <= self.len, "bit range out of range");
+        let mask = u64::MAX >> (64 - width);
+        self.words[at / 64] >> (at % 64) & mask
+    }
+
     /// Number of outcomes.
     pub fn len(&self) -> usize {
         self.len
@@ -173,6 +202,25 @@ mod tests {
         for (i, s) in streams.iter().enumerate() {
             assert_eq!(s.iter().collect::<Vec<bool>>(), scalar[i], "site {i}");
             assert_eq!(s.len() as u64, stats.site(BranchId(i as u32)).total());
+        }
+    }
+
+    #[test]
+    fn bit_fields_round_trip_at_every_width() {
+        for width in [1u32, 2, 4, 8, 16, 32, 64] {
+            let mask = u64::MAX >> (64 - width);
+            let values: Vec<u64> = (0..200u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & mask)
+                .collect();
+            let mut s = PackedStream::new();
+            for &v in &values {
+                s.push_bits(v | !mask, width);
+            }
+            assert_eq!(s.len(), values.len() * width as usize);
+            assert_eq!(s.words().len(), s.len().div_ceil(64));
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(s.bits(i * width as usize, width), v, "width {width}");
+            }
         }
     }
 

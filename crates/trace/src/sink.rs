@@ -6,7 +6,10 @@
 //! them per site, for consumers that read nothing else (misprediction
 //! scoring, the dynamic backstop's histograms). Counting into a
 //! `TraceStats` gives exactly `trace.stats()` of the recorded run, in
-//! memory proportional to the number of sites instead of events.
+//! memory proportional to the number of sites instead of events. A
+//! [`SegmentFold`](crate::SegmentFold) splits the events by segment and
+//! by original site as they arrive, for the drift observer, in a few
+//! bits per event.
 
 use brepl_ir::BranchId;
 
@@ -20,6 +23,12 @@ pub trait EventSink {
 
     /// Number of events taken so far.
     fn events(&self) -> usize;
+
+    /// Called when a segmented run reaches its next segment bound (see
+    /// `brepl_sim::Machine::run_with`): the events after it belong to the
+    /// next segment. Sinks that do not split by segment ignore it.
+    #[inline]
+    fn mark(&mut self) {}
 }
 
 impl EventSink for Trace {

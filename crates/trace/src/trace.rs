@@ -163,18 +163,6 @@ impl Trace {
         }
     }
 
-    /// The events in `range`, as a trace of their own: one copy of the
-    /// packed words, no per-event decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Trace {
-        Trace {
-            packed: self.packed[range].to_vec(),
-        }
-    }
-
     /// Computes per-site statistics in one pass.
     pub fn stats(&self) -> TraceStats {
         TraceStats::from_trace(self)
@@ -348,15 +336,6 @@ mod tests {
         let t = loopy_trace(50);
         for (i, ev) in t.iter().enumerate() {
             assert_eq!(t.get(i), ev);
-        }
-    }
-
-    #[test]
-    fn slice_equals_skip_take() {
-        let t = loopy_trace(100);
-        for (start, end) in [(0, 0), (0, 100), (17, 42), (99, 100), (100, 100)] {
-            let want: Trace = t.iter().skip(start).take(end - start).collect();
-            assert_eq!(t.slice(start..end), want);
         }
     }
 

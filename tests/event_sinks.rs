@@ -6,11 +6,20 @@
 //! `brepl_bench::fuzz::sink_differential`, shared with the fuzz pipeline
 //! case; here it covers every small paper program, original and shipped,
 //! and a sweep of random loop CFGs.
+//!
+//! The adaptive driver's segment runs fold their events per segment and
+//! original site as they run (`SegmentFold`), so a folding run must be
+//! the recording run sliced at its marks: `fuzz::fold_differential`, on
+//! every drift scenario and on shipped random loop CFGs.
+
+mod common;
 
 use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl::workloads::synth::random_loop_module;
 use brepl::workloads::{all_workloads, Scale};
-use brepl_bench::fuzz::sink_differential;
+use brepl_bench::fuzz::{fold_differential, sink_differential};
+use brepl_ir::BranchId;
+use brepl_predict::StaticPrediction;
 
 #[test]
 fn counting_runs_equal_recording_runs_on_every_workload() {
@@ -30,5 +39,72 @@ fn counting_runs_equal_recording_runs_on_random_cfgs() {
     for seed in 0..40u64 {
         let m = random_loop_module(seed, (seed % 6) as usize, 15 + (seed % 5) as i64 * 20);
         sink_differential(&m, &[], &[]).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+/// Every drift scenario's shipped program, and the original under the
+/// identity provenance, over the full tape and over one cut halfway into
+/// the last segment: that segment ends with the tape, the program drains
+/// after it, and the last bound's mark is padded.
+#[test]
+fn segment_fold_equals_sliced_trace_on_every_drift_scenario() {
+    for (name, module, segments) in common::drift_scenarios() {
+        let shipped = run_pipeline(&module, &[], &segments[0], PipelineConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"))
+            .program;
+        let identity: Vec<BranchId> = (0..module.branch_count())
+            .map(BranchId::from_index)
+            .collect();
+        let input = segments.concat();
+        let bounds: Vec<usize> = segments
+            .iter()
+            .scan(0, |acc, seg| {
+                *acc += seg.len();
+                Some(*acc)
+            })
+            .collect();
+        let last = segments.last().map_or(0, Vec::len);
+        let cut = &input[..input.len() - last / 2];
+        for tape in [&input[..], cut] {
+            fold_differential(
+                &shipped.module,
+                &shipped.provenance,
+                &shipped.predictions,
+                &[],
+                tape,
+                &bounds,
+            )
+            .unwrap_or_else(|e| panic!("{name} shipped, {} symbols: {e}", tape.len()));
+            fold_differential(
+                &module,
+                &identity,
+                &StaticPrediction::with_default(true),
+                &[],
+                tape,
+                &bounds,
+            )
+            .unwrap_or_else(|e| panic!("{name} original, {} symbols: {e}", tape.len()));
+        }
+    }
+}
+
+/// Shipped random loop CFGs read no input, so every mark is padded and
+/// all events fold into the first of three segments.
+#[test]
+fn segment_fold_equals_sliced_trace_on_shipped_random_cfgs() {
+    for seed in 0..20u64 {
+        let m = random_loop_module(seed, 2 + (seed % 5) as usize, 40 + (seed % 4) as i64 * 30);
+        let shipped = run_pipeline(&m, &[], &[], PipelineConfig::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: pipeline failed: {e}"))
+            .program;
+        fold_differential(
+            &shipped.module,
+            &shipped.provenance,
+            &shipped.predictions,
+            &[],
+            &[],
+            &[0, 0, 1],
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
