@@ -78,7 +78,7 @@ pub use freq::{
 pub use gate_cache::{check_history_cached, validate_replication_cached, GateCache};
 pub use history::check_history;
 pub use interval::Interval;
-pub use lint::{lint_module, unreachable_diags};
+pub use lint::lint_module;
 pub use liveness::{liveness, term_uses, Liveness};
 pub use product::{
     solve_site_product, HistorySpec, MachineTable, ProductSolution, TableState, MAX_PRODUCT_NODES,

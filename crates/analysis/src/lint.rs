@@ -12,7 +12,7 @@ use crate::liveness::{liveness, term_uses};
 use crate::uninit::use_before_def;
 
 /// `BR001` for every block of `func` not reachable from its entry.
-pub fn unreachable_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
+fn unreachable_diags(fid: FuncId, func: &Function) -> Vec<AnalysisDiag> {
     let reachable = Cfg::new(func).reachable();
     func.iter_blocks()
         .filter(|(bid, _)| !reachable[bid.index()])

@@ -42,7 +42,8 @@ pub fn remove_unreachable(func: &mut Function) -> Vec<Option<BlockId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brepl_ir::{FunctionBuilder, Operand};
+    use brepl_analysis::{lint_module, DiagCode};
+    use brepl_ir::{FunctionBuilder, Module, Operand};
 
     #[test]
     fn removes_and_remaps() {
@@ -90,9 +91,17 @@ mod tests {
         b.switch_to(end);
         b.ret(None);
         let mut f = b.finish();
-        assert!(!brepl_analysis::unreachable_diags(brepl_ir::FuncId(0), &f).is_empty());
+        let br001 = |f: &Function| {
+            let mut m = Module::new();
+            m.push_function(f.clone());
+            lint_module(&m)
+                .iter()
+                .filter(|d| d.code == DiagCode::UnreachableReplica)
+                .count()
+        };
+        assert_eq!(br001(&f), 2);
         remove_unreachable(&mut f);
-        assert!(brepl_analysis::unreachable_diags(brepl_ir::FuncId(0), &f).is_empty());
+        assert_eq!(br001(&f), 0);
     }
 
     #[test]
