@@ -231,28 +231,6 @@ fn combine(p1: f64, p2: f64) -> f64 {
     }
 }
 
-/// True when the block stores to memory (the Ball–Larus store
-/// heuristic's trigger; calls and I/O intrinsics do not count).
-fn block_has_store(func: &brepl_ir::Function, b: BlockId) -> bool {
-    func.block(b)
-        .insts
-        .iter()
-        .any(|i| matches!(i, Inst::Store { .. }))
-}
-
-/// True when the block makes a direct call.
-fn block_has_call(func: &brepl_ir::Function, b: BlockId) -> bool {
-    func.block(b)
-        .insts
-        .iter()
-        .any(|i| matches!(i, Inst::Call { .. }))
-}
-
-/// True when the block returns without branching further.
-fn block_returns(func: &brepl_ir::Function, b: BlockId) -> bool {
-    matches!(func.block(b).term, Term::Ret { .. })
-}
-
 /// True when the successor block reads the branch's condition register —
 /// the guard-heuristic trigger (`if (x) use(x)` guards succeed).
 fn block_uses_reg(func: &brepl_ir::Function, b: BlockId, reg: brepl_ir::Reg) -> bool {
@@ -335,8 +313,8 @@ fn heuristic_prob(
     }
 
     // Call heuristic: avoid the side that calls.
-    let then_calls = block_has_call(func, info.then_);
-    let else_calls = block_has_call(func, info.else_);
+    let then_calls = func.block(info.then_).has_call();
+    let else_calls = func.block(info.else_).has_call();
     if then_calls && !else_calls {
         p = combine(p, 1.0 - confidence::CALL);
     } else if else_calls && !then_calls {
@@ -344,8 +322,8 @@ fn heuristic_prob(
     }
 
     // Return heuristic: avoid the side that returns immediately.
-    let then_rets = block_returns(func, info.then_);
-    let else_rets = block_returns(func, info.else_);
+    let then_rets = func.block(info.then_).returns();
+    let else_rets = func.block(info.else_).returns();
     if then_rets && !else_rets {
         p = combine(p, 1.0 - confidence::RETURN);
     } else if else_rets && !then_rets {
@@ -353,8 +331,8 @@ fn heuristic_prob(
     }
 
     // Store heuristic: avoid the side that stores.
-    let then_stores = block_has_store(func, info.then_);
-    let else_stores = block_has_store(func, info.else_);
+    let then_stores = func.block(info.then_).has_store();
+    let else_stores = func.block(info.else_).has_store();
     if then_stores && !else_stores {
         p = combine(p, 1.0 - confidence::STORE);
     } else if else_stores && !then_stores {

@@ -20,6 +20,24 @@ impl Block {
     pub fn size_units(&self) -> usize {
         self.insts.len() + 1
     }
+
+    /// True when the block makes a direct call: the trigger of the
+    /// Ball–Larus call heuristic.
+    pub fn has_call(&self) -> bool {
+        self.insts.iter().any(|i| matches!(i, Inst::Call { .. }))
+    }
+
+    /// True when the block stores to memory: the trigger of the
+    /// Ball–Larus store heuristic (calls and I/O intrinsics do not count).
+    pub fn has_store(&self) -> bool {
+        self.insts.iter().any(|i| matches!(i, Inst::Store { .. }))
+    }
+
+    /// True when the block returns without branching further: the
+    /// trigger of the Ball–Larus return heuristic.
+    pub fn returns(&self) -> bool {
+        matches!(self.term, Term::Ret { .. })
+    }
 }
 
 /// A function: parameter count, register count, and a block list.

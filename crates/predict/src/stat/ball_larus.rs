@@ -16,7 +16,7 @@
 //! one-to-one.
 
 use brepl_cfg::{Cfg, ClassifiedBranches, DomTree, LoopForest};
-use brepl_ir::{BlockId, BranchId, CmpOp, Function, Inst, Module, Operand, Term, Value};
+use brepl_ir::{Block, BlockId, BranchId, CmpOp, Function, Module, Operand, Term, Value};
 
 use crate::eval::StaticPrediction;
 use crate::stat::branch_condition;
@@ -97,16 +97,16 @@ fn chain(
     if let Some(g) = pointer(func, block) {
         return (g, Heuristic::Pointer);
     }
-    if let Some(g) = avoid_successor(func, then_, else_, block_calls) {
+    if let Some(g) = avoid_successor(func, then_, else_, Block::has_call) {
         return (g, Heuristic::Call);
     }
     if let Some(g) = opcode(func, block) {
         return (g, Heuristic::Opcode);
     }
-    if let Some(g) = avoid_successor(func, then_, else_, block_returns) {
+    if let Some(g) = avoid_successor(func, then_, else_, Block::returns) {
         return (g, Heuristic::Return);
     }
-    if let Some(g) = avoid_successor(func, then_, else_, block_stores) {
+    if let Some(g) = avoid_successor(func, then_, else_, Block::has_store) {
         return (g, Heuristic::Store);
     }
     if let Some(g) = loop_direction(classes, block) {
@@ -153,33 +153,15 @@ fn avoid_successor(
     func: &Function,
     then_: BlockId,
     else_: BlockId,
-    property: fn(&Function, BlockId) -> bool,
+    property: fn(&Block) -> bool,
 ) -> Option<bool> {
-    let t = property(func, then_);
-    let e = property(func, else_);
+    let t = property(func.block(then_));
+    let e = property(func.block(else_));
     match (t, e) {
         (true, false) => Some(false), // avoid taken successor
         (false, true) => Some(true),  // avoid not-taken successor
         _ => None,
     }
-}
-
-fn block_calls(func: &Function, b: BlockId) -> bool {
-    func.block(b)
-        .insts
-        .iter()
-        .any(|i| matches!(i, Inst::Call { .. }))
-}
-
-fn block_returns(func: &Function, b: BlockId) -> bool {
-    matches!(func.block(b).term, Term::Ret { .. })
-}
-
-fn block_stores(func: &Function, b: BlockId) -> bool {
-    func.block(b)
-        .insts
-        .iter()
-        .any(|i| matches!(i, Inst::Store { .. }))
 }
 
 /// Loop: predict the direction that stays in / re-enters the loop.
