@@ -350,8 +350,7 @@ mod tests {
         let provenance = vec![BranchId(0)];
         let p = StaticPrediction::with_default(true);
 
-        let mut short = loop_trace();
-        short.truncate(3);
+        let short: Trace = loop_trace().iter().take(3).collect();
         assert_eq!(
             static_cost(&m, &provenance, &p, &short, "main"),
             Err(CostError::TraceExhausted {

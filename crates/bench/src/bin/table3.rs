@@ -10,7 +10,8 @@ use brepl_cfg::{BranchClass, Cfg, ClassifiedBranches, DomTree, LoopForest};
 use brepl_core::intra_loop::IntraLoopSearch;
 use brepl_core::loop_exit::exit_machine_menu;
 use brepl_ir::BranchId;
-use brepl_predict::{HistoryKind, PatternTableSet};
+use brepl_predict::{HistoryKind, PatternTable, PatternTableSet};
+use brepl_trace::{packed_site_streams, PackedStream};
 
 struct Classified {
     intra: HashSet<BranchId>,
@@ -56,22 +57,20 @@ fn ideal_pct(trace: &brepl_trace::Trace, bits: u32, sites: &HashSet<BranchId>) -
     }
 }
 
+/// The outcome stream of `site`, if it executed.
+fn executed(streams: &[PackedStream], site: BranchId) -> Option<&PackedStream> {
+    streams.get(site.index()).filter(|s| !s.is_empty())
+}
+
 fn main() {
     let suite = profile_suite(scale_from_env());
     let classified: Vec<Classified> = suite.iter().map(classify).collect();
 
-    // Outcome streams and tables per site, per program.
-    struct Prep {
-        tables: PatternTableSet,
-        outcomes: Vec<brepl_trace::PackedStream>,
-    }
-    let preps: Vec<Prep> = suite
+    // Outcome streams per site, per program; each site's tables are
+    // built from its stream.
+    let streams: Vec<Vec<PackedStream>> = suite
         .iter()
-        .map(|p| {
-            let tables = PatternTableSet::build(&p.trace, HistoryKind::Local, 9);
-            let outcomes = brepl_trace::packed_site_streams(&p.trace, &p.trace.stats());
-            Prep { tables, outcomes }
-        })
+        .map(|p| packed_site_streams(&p.trace, &p.trace.stats()))
         .collect();
 
     let search = IntraLoopSearch::new(10, 9);
@@ -80,15 +79,15 @@ fn main() {
     let intra_by_n: Vec<Vec<f64>> = suite
         .iter()
         .zip(&classified)
-        .zip(&preps)
-        .map(|((_, c), prep)| {
+        .zip(&streams)
+        .map(|((_, c), streams)| {
             let mut totals = [0u64; 11];
             let mut wrongs = [0u64; 11];
             for &site in &c.intra {
-                let Some(table) = prep.tables.site(site) else {
+                let Some(outs) = executed(streams, site) else {
                     continue;
                 };
-                let per_n = search.search(table);
+                let per_n = search.search(&PatternTable::from_outcomes(outs.iter(), 9));
                 for n in 2..=10 {
                     if let Some(r) = &per_n[n] {
                         totals[n] += r.total;
@@ -111,18 +110,17 @@ fn main() {
     let exit_by_n: Vec<Vec<f64>> = suite
         .iter()
         .zip(&classified)
-        .zip(&preps)
-        .map(|((_, c), prep)| {
+        .zip(&streams)
+        .map(|((_, c), streams)| {
             // One shared menu per site: entry n-2 is the best exit machine
             // under budget n.
             let mut totals = [0u64; 11];
             let mut wrongs = [0u64; 11];
             for &site in &c.exit {
-                let Some(table) = prep.tables.site(site) else {
+                let Some(outs) = executed(streams, site) else {
                     continue;
                 };
-                let outs = &prep.outcomes[site.index()];
-                for (r, n) in exit_machine_menu(10, table, outs).into_iter().zip(2..=10) {
+                for (r, n) in exit_machine_menu(10, outs).into_iter().zip(2..=10) {
                     totals[n] += r.total;
                     wrongs[n] += r.total - r.correct;
                 }

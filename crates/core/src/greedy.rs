@@ -15,7 +15,8 @@ use brepl_cfg::{Cfg, ClassifiedBranches, DomTree, LoopForest};
 use brepl_ir::{BlockId, FuncId, Module};
 use brepl_trace::Trace;
 
-use crate::select::{select_strategies, ChosenStrategy, Selection};
+use crate::replicate::BranchMachine;
+use crate::select::{select_strategies, Selection};
 
 /// One point of a misprediction-versus-code-size curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -104,9 +105,9 @@ pub fn greedy_curve_from_selection(
         .map(|c| Step {
             site: c.site,
             benefit: c.benefit(),
-            states: c.chosen.states(),
+            states: c.chosen.as_ref().map_or(1, BranchMachine::states),
             correlated_block_units: match &c.chosen {
-                ChosenStrategy::Correlated(m) => {
+                Some(BranchMachine::Correlated(m)) => {
                     let per_path: usize = m.paths.iter().map(|(p, _)| p.len().max(1)).sum();
                     per_path
                 }

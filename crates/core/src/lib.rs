@@ -50,5 +50,5 @@ pub use replicate::{
 pub use respec::{PatchKind, PatchOutcome, PatchRecord, Respec, RespecConfig};
 pub use select::{
     select_strategies, select_strategies_classified, select_strategies_with_threads,
-    synthesize_profile_trace, ChosenStrategy, Selection, StrategyChoice,
+    synthesize_profile_trace, Selection, StrategyChoice,
 };

@@ -105,34 +105,27 @@ fn exit_oscillator_with(n: usize, agg: &SuffixAggregate<'_>) -> StateMachine {
 /// Scores both loop-exit shapes against a site's outcome stream — in both
 /// polarities — for every budget `2..=max` in one shared pass: index
 /// `n - 2` of the result is the best machine under budget `n`. `outcomes`
-/// must be the branch's directions in trace order; `table` the site's
-/// local-history pattern table.
+/// must be the branch's directions in trace order.
 ///
 /// Loop-exit machines assume "taken = keep iterating". Branches whose
 /// *taken* direction exits the loop are handled by building the chain on
 /// the complemented outcome stream and then complementing the machine back
 /// ([`StateMachine::complemented`]), so the returned machines always run
-/// on real outcomes.
+/// on real outcomes. Both polarities' local-history tables are built from
+/// the stream itself.
 ///
 /// The budgets nest — budget `n`'s candidate list is budget `n - 1`'s plus
-/// the size-`n` shapes — so one inverted table and one simulation per
+/// the size-`n` shapes — so one pair of tables and one simulation per
 /// shape serve every budget. Selection pipelines ask for the whole
 /// per-size menu (§6 joint rebalancing). Within a budget the first of
 /// equally good candidates wins.
-pub fn exit_machine_menu(
-    max: usize,
-    table: &PatternTable,
-    outcomes: &PackedStream,
-) -> Vec<SearchResult> {
+pub fn exit_machine_menu(max: usize, outcomes: &PackedStream) -> Vec<SearchResult> {
     assert!((2..=10).contains(&max), "budget must be in 2..=10");
     let total = outcomes.len() as u64;
-    let bits = TABLE_BITS;
-    // The inverted-polarity table is a complement-swap of the original
-    // (plus a warmup correction) — no second walk over the stream.
-    let warmup: Vec<bool> = outcomes.iter().take(bits as usize).collect();
-    let inverted_table = table.complement_single_site(bits, &warmup);
-    let agg = table.suffix_aggregate(bits);
-    let inv_agg = inverted_table.suffix_aggregate(bits);
+    let table = PatternTable::from_outcomes(outcomes.iter(), TABLE_BITS);
+    let inverted_table = PatternTable::from_outcomes(outcomes.iter().map(|o| !o), TABLE_BITS);
+    let agg = table.suffix_aggregate(TABLE_BITS);
+    let inv_agg = inverted_table.suffix_aggregate(TABLE_BITS);
 
     // All chain lengths up to the budget: a longer chain is not always
     // better under true simulation (the machine's state can diverge from
@@ -176,28 +169,14 @@ pub fn exit_machine_menu(
     menu
 }
 
-/// The history length of the inverted-polarity table. Pattern tables do
-/// not expose their history length, so exit machines rebuild at the
-/// paper's 9 bits — more than any chain needs.
-const TABLE_BITS: u32 = 9;
+/// The local-history length of every table a loop-machine search reads —
+/// here both polarity tables, in selection the intra-loop table: the
+/// paper's 9 bits, more than any machine of at most 10 states reads.
+pub(crate) const TABLE_BITS: u32 = 9;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brepl_ir::BranchId;
-    use brepl_predict::{HistoryKind, PatternTableSet};
-    use brepl_trace::{Trace, TraceEvent};
-
-    fn table_for(dirs: &[bool]) -> PatternTableSet {
-        let t: Trace = dirs
-            .iter()
-            .map(|&taken| TraceEvent {
-                site: BranchId(0),
-                taken,
-            })
-            .collect();
-        PatternTableSet::build(&t, HistoryKind::Local, 9)
-    }
 
     fn packed(dirs: &[bool]) -> PackedStream {
         dirs.iter().copied().collect()
@@ -209,17 +188,21 @@ mod tests {
         taken.max(outcomes.len() as u64 - taken)
     }
 
-    fn chain(n: usize, table: &PatternTable) -> StateMachine {
-        exit_chain_with(n, &table.suffix_aggregate(TABLE_BITS))
+    fn table_for(dirs: &[bool]) -> PatternTable {
+        PatternTable::from_outcomes(dirs.iter().copied(), TABLE_BITS)
     }
 
-    fn oscillator(n: usize, table: &PatternTable) -> StateMachine {
-        exit_oscillator_with(n, &table.suffix_aggregate(TABLE_BITS))
+    fn chain(n: usize, dirs: &[bool]) -> StateMachine {
+        exit_chain_with(n, &table_for(dirs).suffix_aggregate(TABLE_BITS))
+    }
+
+    fn oscillator(n: usize, dirs: &[bool]) -> StateMachine {
+        exit_oscillator_with(n, &table_for(dirs).suffix_aggregate(TABLE_BITS))
     }
 
     /// The best machine under budget `n`: the last entry of the menu.
-    fn best(n: usize, table: &PatternTable, outcomes: &PackedStream) -> SearchResult {
-        exit_machine_menu(n, table, outcomes).pop().unwrap()
+    fn best(n: usize, dirs: &[bool]) -> SearchResult {
+        exit_machine_menu(n, &packed(dirs)).pop().unwrap()
     }
 
     /// Loop running exactly k iterations each activation: k-1 taken then
@@ -237,9 +220,7 @@ mod tests {
     #[test]
     fn chain_shape_matches_figure_5() {
         let dirs = fixed_count_loop(4, 200);
-        let pts = table_for(&dirs);
-        let table = pts.site(BranchId(0)).unwrap();
-        let m = chain(4, table);
+        let m = chain(4, &dirs);
         assert_eq!(m.len(), 4);
         // 0 -> 01 -> 011 -> 111(self-loop) and every not-taken returns to 0.
         let pat: Vec<String> = m.states().iter().map(|s| s.pattern.to_string()).collect();
@@ -257,9 +238,7 @@ mod tests {
         // 4-iteration loop: states 0,01,011,111 -- the 111 state is entered
         // exactly at the 3rd taken, where the next outcome is the exit.
         let dirs = fixed_count_loop(4, 500);
-        let pts = table_for(&dirs);
-        let table = pts.site(BranchId(0)).unwrap();
-        let best = best(4, table, &packed(&dirs));
+        let best = best(4, &dirs);
         // Profile gets exactly 1/4 wrong; the chain should be perfect
         // modulo warmup.
         assert!(best.mispredictions() <= 1);
@@ -269,10 +248,8 @@ mod tests {
     #[test]
     fn short_chain_degrades_gracefully() {
         let dirs = fixed_count_loop(8, 300);
-        let pts = table_for(&dirs);
-        let table = pts.site(BranchId(0)).unwrap();
-        let two = best(2, table, &packed(&dirs));
-        let eight = best(8, table, &packed(&dirs));
+        let two = best(2, &dirs);
+        let eight = best(8, &dirs);
         assert!(eight.correct >= two.correct);
         // 2 states on an 8-iteration loop: predicts "keep going"
         // everywhere, missing each exit once, like profile.
@@ -291,11 +268,9 @@ mod tests {
                 dirs.push(j + 1 < k);
             }
         }
-        let pts = table_for(&dirs);
-        let table = pts.site(BranchId(0)).unwrap();
-        let chain = chain(3, table);
+        let chain = chain(3, &dirs);
         let (chain_c, _) = chain.simulate(dirs.iter().copied());
-        let osc = oscillator(3, table);
+        let osc = oscillator(3, &dirs);
         let (osc_c, _) = osc.simulate(dirs.iter().copied());
         // The 3-state oscillator tracks parity of iterations; it should
         // beat the plain 3-state chain here.
@@ -303,7 +278,7 @@ mod tests {
             osc_c >= chain_c,
             "oscillator {osc_c} should be >= chain {chain_c}"
         );
-        let best = best(3, table, &packed(&dirs));
+        let best = best(3, &dirs);
         assert_eq!(best.correct, osc_c.max(chain_c));
     }
 
@@ -311,9 +286,7 @@ mod tests {
     fn inverted_polarity_loops_still_learn() {
         // Exit-on-taken loops: 5 not-taken then one taken.
         let dirs: Vec<bool> = (0..1200).map(|i| i % 6 == 5).collect();
-        let pts = table_for(&dirs);
-        let table = pts.site(BranchId(0)).unwrap();
-        let best = best(6, table, &packed(&dirs));
+        let best = best(6, &dirs);
         let profile_wrong = dirs.len() as u64 - profile_correct(&packed(&dirs));
         assert!(best.mispredictions() < profile_wrong);
     }
@@ -322,8 +295,6 @@ mod tests {
     #[should_panic(expected = "chain length")]
     fn chain_rejects_one_state() {
         let dirs = fixed_count_loop(2, 10);
-        let pts = table_for(&dirs);
-        let table = pts.site(BranchId(0)).unwrap();
-        let _ = chain(1, table);
+        let _ = chain(1, &dirs);
     }
 }

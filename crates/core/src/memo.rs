@@ -1,19 +1,20 @@
 //! Process-wide memo for per-branch machine searches.
 //!
-//! The state-machine search is a pure function of `(branch class, pattern
-//! table, outcome stream, state budget)` — and across a pipeline run the
-//! same table is searched many times: the 2..=10-state sweeps of `table5`
-//! re-analyze identical tables at repeated budgets, `ablation` re-runs the
-//! pipeline on the same workloads row after row, `crossdata` trains twice
-//! per program, and many branches inside one program have bit-identical
-//! profiles (always-taken guards, shared loop latches). Keying the search
-//! result on a canonical fingerprint of its inputs makes every repeat a
-//! hash lookup.
+//! The state-machine search is a pure function of `(branch class, outcome
+//! stream, state budget)` — the site's pattern table is built from its
+//! stream — and across a pipeline run the same stream is searched many
+//! times: the 2..=10-state sweeps of `table5` re-analyze identical
+//! streams at repeated budgets, `ablation` re-runs the pipeline on the
+//! same workloads row after row, `crossdata` trains twice per program, and
+//! many branches inside one program have bit-identical profiles
+//! (always-taken guards, shared loop latches). Keying the search result on
+//! a canonical fingerprint of its inputs makes every repeat a hash lookup
+//! that builds no table.
 //!
 //! Two granularities are cached:
 //!
-//! * the **per-branch** loop-machine search, keyed on the branch's table
-//!   and outcome-stream fingerprints ([`lookup_or_compute`]); and
+//! * the **per-branch** loop-machine search, keyed on the branch's class
+//!   and outcome-stream fingerprint ([`lookup_or_compute`]); and
 //! * the **whole-module** strategy selection, keyed on canonical module
 //!   and trace fingerprints ([`lookup_or_compute_selection`]) — the
 //!   pipeline re-selects over the exact `(module, trace, budget)` triple
@@ -54,12 +55,11 @@ pub struct LoopSearchOutcome {
     pub menu: SizeMenu,
 }
 
-/// Memo key: branch class, canonical table fingerprint, outcome-stream
-/// fingerprint, and the state budget of the search.
+/// Memo key: branch class, outcome-stream fingerprint, and the state
+/// budget of the search.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct MemoKey {
     class: BranchClass,
-    table_fp: (u64, u64),
     outcomes_fp: (u64, u64),
     max_states: usize,
 }
@@ -120,14 +120,12 @@ pub fn fingerprint_packed(stream: &brepl_trace::PackedStream) -> (u64, u64) {
 /// memo returns the cached value verbatim on a repeat key.
 pub fn lookup_or_compute(
     class: BranchClass,
-    table_fp: (u64, u64),
     outcomes_fp: (u64, u64),
     max_states: usize,
     compute: impl FnOnce() -> LoopSearchOutcome,
 ) -> Arc<LoopSearchOutcome> {
     let key = MemoKey {
         class,
-        table_fp,
         outcomes_fp,
         max_states,
     };
@@ -312,10 +310,9 @@ mod tests {
     #[test]
     fn second_lookup_hits() {
         let fp = fingerprint_outcomes(&[true, false, true, true]);
-        let table_fp = (0xdead_beef, 0xfeed_face);
         let mut computed = 0;
         for _ in 0..3 {
-            let out = lookup_or_compute(BranchClass::IntraLoop, table_fp, fp, 4, || {
+            let out = lookup_or_compute(BranchClass::IntraLoop, fp, 4, || {
                 computed += 1;
                 LoopSearchOutcome {
                     best: None,

@@ -31,13 +31,23 @@ use crate::correlated::CorrelatedMachine;
 use crate::machine::StateMachine;
 
 /// The machine assigned to one branch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BranchMachine {
     /// Intra-loop or loop-exit machine: replicate the innermost loop that
     /// can carry the machine's history (see `region_loop`).
     Loop(StateMachine),
     /// Correlated machine: tail-duplicate the incoming paths.
     Correlated(CorrelatedMachine),
+}
+
+impl BranchMachine {
+    /// Number of states of the machine.
+    pub fn states(&self) -> usize {
+        match self {
+            BranchMachine::Loop(m) => m.len(),
+            BranchMachine::Correlated(m) => m.states(),
+        }
+    }
 }
 
 /// A replication plan: which branches get which machines. Keys are branch

@@ -3,43 +3,22 @@
 //! intra-loop machine, a loop-exit machine and a correlated machine, all
 //! capped at a given number of states.
 
+use std::cell::LazyCell;
 use std::collections::{HashMap, HashSet};
 
 use brepl_analysis::{BiasEstimate, Classification, DirectionClass, StaticProfile};
 use brepl_cfg::{BranchClass, Cfg, ClassifiedBranches, DomTree, LoopForest, PredecessorPaths};
 use brepl_ir::{BranchId, Module};
-use brepl_predict::{HistoryKind, PatternTable, PatternTableSet};
-use brepl_trace::{packed_site_streams, PackedStream, SiteCounts, Trace, TraceEvent};
+use brepl_predict::PatternTable;
+use brepl_trace::{packed_site_streams, PackedStream, SiteCounts, Trace, TraceEvent, TraceStats};
 
-use crate::correlated::{profile_paths, CorrelatedMachine, PathProfile};
+use crate::correlated::{profile_paths, PathProfile};
 use crate::engine;
 use crate::intra_loop::IntraLoopSearch;
-use crate::loop_exit::exit_machine_menu;
+use crate::loop_exit::{exit_machine_menu, TABLE_BITS};
 use crate::machine::StateMachine;
 use crate::memo::{self, LoopSearchOutcome, SizeMenu};
 use crate::replicate::{BranchMachine, ReplicationPlan};
-
-/// The strategy chosen for one branch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChosenStrategy {
-    /// Plain profile prediction (one state; no replication).
-    Profile,
-    /// An intra-loop or loop-exit state machine.
-    Loop(StateMachine),
-    /// A correlated path machine.
-    Correlated(CorrelatedMachine),
-}
-
-impl ChosenStrategy {
-    /// Number of states the choice uses (1 for profile).
-    pub fn states(&self) -> usize {
-        match self {
-            ChosenStrategy::Profile => 1,
-            ChosenStrategy::Loop(m) => m.len(),
-            ChosenStrategy::Correlated(m) => m.states(),
-        }
-    }
-}
 
 /// Selection result for one branch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,8 +27,9 @@ pub struct StrategyChoice {
     pub site: BranchId,
     /// Its loop class.
     pub class: BranchClass,
-    /// The winning strategy.
-    pub chosen: ChosenStrategy,
+    /// The winning machine; `None` is plain profile prediction (one
+    /// state, no replication).
+    pub chosen: Option<BranchMachine>,
     /// Profiled executions.
     pub executions: u64,
     /// Mispredictions under plain profile prediction.
@@ -119,14 +99,8 @@ impl Selection {
             if !keep(c.site) {
                 continue;
             }
-            match &c.chosen {
-                ChosenStrategy::Profile => {}
-                ChosenStrategy::Loop(m) => {
-                    plan.assign(c.site, BranchMachine::Loop(m.clone()));
-                }
-                ChosenStrategy::Correlated(m) => {
-                    plan.assign(c.site, BranchMachine::Correlated(m.clone()));
-                }
+            if let Some(m) = &c.chosen {
+                plan.assign(c.site, m.clone());
             }
         }
         plan
@@ -157,7 +131,7 @@ pub fn select_strategies(module: &Module, trace: &Trace, max_states: usize) -> S
 /// fingerprint, max_states)` — so a pipeline stage re-selecting over
 /// inputs a standalone select stage already solved is one hash lookup —
 /// and on a whole-selection miss, each branch's loop-machine search is
-/// cached on its table and outcome-stream fingerprints.
+/// cached on its class and outcome-stream fingerprint.
 ///
 /// # Panics
 ///
@@ -176,7 +150,16 @@ pub fn select_strategies_with_threads(
         module.fingerprint(),
         trace.fingerprint(),
         max_states,
-        || select_uncached(module, trace, max_states, threads, &HashSet::new()),
+        || {
+            select_uncached(
+                module,
+                trace,
+                &trace.stats(),
+                max_states,
+                threads,
+                &HashSet::new(),
+            )
+        },
     );
     (*cached).clone()
 }
@@ -184,7 +167,7 @@ pub fn select_strategies_with_threads(
 /// [`select_strategies`] with a classification-driven planner fast-path.
 ///
 /// Sites the static layer proved monostatic whose profile is *unanimous*
-/// (`minority_count() == 0`) are assigned [`ChosenStrategy::Profile`]
+/// (`minority_count() == 0`) are assigned plain profile prediction
 /// without running the machine search: profile prediction already has
 /// zero misses on them, no machine can do strictly better, and
 /// the per-site search only switches strategy on a strict improvement — so
@@ -208,13 +191,16 @@ pub fn select_strategies_classified(
         (2..=10).contains(&max_states),
         "max_states must be in 2..=10"
     );
-    let skip = fast_path_sites(trace, classification);
+    // One stats pass serves the fast path and the search, and a
+    // whole-selection hit without a classification needs none.
+    let stats = LazyCell::new(|| trace.stats());
+    let skip = classification.map_or_else(HashSet::new, |cls| fast_path_sites(&stats, cls));
     let threads = engine::thread_count();
     let cached = memo::lookup_or_compute_selection(
         module.fingerprint(),
         trace.fingerprint(),
         max_states,
-        || select_uncached(module, trace, max_states, threads, &skip),
+        || select_uncached(module, trace, &stats, max_states, threads, &skip),
     );
     ((*cached).clone(), skip.len())
 }
@@ -290,12 +276,8 @@ pub fn synthesize_profile_trace(profile: &StaticProfile) -> Trace {
 /// skip — `profile_misses == 0` makes the Profile choice unbeatable — so
 /// even a proof contradicted by a (forged) trace never changes the
 /// selection, only the BR013 gate's verdict.
-fn fast_path_sites(trace: &Trace, classification: Option<&Classification>) -> HashSet<BranchId> {
+fn fast_path_sites(stats: &TraceStats, cls: &Classification) -> HashSet<BranchId> {
     let mut skip = HashSet::new();
-    let Some(cls) = classification else {
-        return skip;
-    };
-    let stats = trace.stats();
     for sc in &cls.sites {
         if !matches!(sc.class, DirectionClass::ProvedMonostatic(_)) {
             continue;
@@ -309,24 +291,24 @@ fn fast_path_sites(trace: &Trace, classification: Option<&Classification>) -> Ha
 }
 
 /// The selection search proper — everything below the whole-selection
-/// memo. Pure in `(module, trace, max_states)`; `threads` only changes
-/// wall-clock, and `skip` (sites with a unanimous profile, per
-/// [`fast_path_sites`]) only changes how the Profile choice for those
-/// sites is *reached*, never what it is.
+/// memo. Pure in `(module, trace, max_states)`, with `stats` the trace's
+/// [`TraceStats`]; `threads` only changes wall-clock, and `skip` (sites
+/// with a unanimous profile, per [`fast_path_sites`]) only changes how the
+/// Profile choice for those sites is *reached*, never what it is.
 fn select_uncached(
     module: &Module,
     trace: &Trace,
+    stats: &TraceStats,
     max_states: usize,
     threads: usize,
     skip: &HashSet<BranchId>,
 ) -> Selection {
-    let stats = trace.stats();
-    let tables = PatternTableSet::build(trace, HistoryKind::Local, 9);
-    let search = IntraLoopSearch::new(max_states, 9);
+    let search = IntraLoopSearch::new(max_states, TABLE_BITS);
 
     // Packed per-site outcome streams, built once for the whole selection:
-    // machine candidates are scored on these word-at-a-time.
-    let outcomes = packed_site_streams(trace, &stats);
+    // each site's pattern table is built from its stream, and machine
+    // candidates are scored on it word-at-a-time.
+    let outcomes = packed_site_streams(trace, stats);
     let no_outcomes = PackedStream::new();
 
     // Candidate decision paths for every executed branch ("a maximum path
@@ -374,7 +356,7 @@ fn select_uncached(
                     StrategyChoice {
                         site,
                         class: class_of[&site],
-                        chosen: ChosenStrategy::Profile,
+                        chosen: None,
                         executions: counts.total(),
                         profile_misses: counts.minority_count(),
                         chosen_misses: counts.minority_count(),
@@ -386,7 +368,6 @@ fn select_uncached(
                 site,
                 class_of[&site],
                 stats.site(site),
-                tables.site(site),
                 outcomes.get(site.index()).unwrap_or(&no_outcomes),
                 path_profiles.get(&site),
                 &search,
@@ -422,7 +403,6 @@ fn search_site(
     site: BranchId,
     class: BranchClass,
     counts: SiteCounts,
-    table: Option<&PatternTable>,
     outcomes: &PackedStream,
     path_profile: Option<&PathProfile>,
     search: &IntraLoopSearch,
@@ -430,26 +410,24 @@ fn search_site(
 ) -> (StrategyChoice, Option<SizeMenu>) {
     let profile_misses = counts.minority_count();
     let mut best_misses = profile_misses;
-    let mut best = ChosenStrategy::Profile;
+    let mut best = None;
     let mut menu: Option<SizeMenu> = None;
 
-    if let Some(table) = table {
-        if !matches!(class, BranchClass::NonLoop) {
-            // The loop-machine search depends only on (class, table,
-            // outcome stream, budget) — memoize it process-wide.
-            let outcome = memo::lookup_or_compute(
-                class,
-                table.fingerprint(),
-                memo::fingerprint_packed(outcomes),
-                max_states,
-                || loop_search(class, table, outcomes, search, max_states),
-            );
-            if let Some((machine, misses)) = &outcome.best {
-                if *misses < best_misses {
-                    best_misses = *misses;
-                    best = ChosenStrategy::Loop(machine.clone());
-                    menu = Some(outcome.menu.clone());
-                }
+    if !matches!(class, BranchClass::NonLoop) {
+        // The loop-machine search depends only on (class, outcome stream,
+        // budget) — memoize it process-wide. The site's pattern table is a
+        // function of its stream, built inside the search on a miss.
+        let outcome = memo::lookup_or_compute(
+            class,
+            memo::fingerprint_packed(outcomes),
+            max_states,
+            || loop_search(class, outcomes, search, max_states),
+        );
+        if let Some((machine, misses)) = &outcome.best {
+            if *misses < best_misses {
+                best_misses = *misses;
+                best = Some(BranchMachine::Loop(machine.clone()));
+                menu = Some(outcome.menu.clone());
             }
         }
     }
@@ -461,7 +439,7 @@ fn search_site(
         let r = p.select_with_threshold(max_states, min_gain);
         if r.mispredictions() < best_misses && r.machine.states() > 1 {
             best_misses = r.mispredictions();
-            best = ChosenStrategy::Correlated(r.machine);
+            best = Some(BranchMachine::Correlated(r.machine));
             menu = None;
         }
     }
@@ -480,12 +458,11 @@ fn search_site(
 }
 
 /// The memoized kernel: finds the best intra-loop or loop-exit machine for
-/// one `(table, outcome stream, budget)` input, plus the best machine per
-/// exact size. `best` is populated only when a machine strictly beats the
+/// one `(outcome stream, budget)` input, plus the best machine per exact
+/// size. `best` is populated only when a machine strictly beats the
 /// profile baseline of the same outcome stream.
 fn loop_search(
     class: BranchClass,
-    table: &PatternTable,
     outcomes: &PackedStream,
     search: &IntraLoopSearch,
     max_states: usize,
@@ -505,7 +482,8 @@ fn loop_search(
             // on the real outcome stream — that is what the
             // replicated code will actually do. All surviving
             // candidates share one packed pass over the stream.
-            let results: Vec<_> = search.search(table).into_iter().flatten().collect();
+            let table = PatternTable::from_outcomes(outcomes.iter(), TABLE_BITS);
+            let results: Vec<_> = search.search(&table).into_iter().flatten().collect();
             let machines: Vec<StateMachine> = results.iter().map(|r| r.machine.clone()).collect();
             let scores = crate::machine::simulate_packed_many(&machines, outcomes);
             for (r, (correct, total)) in results.into_iter().zip(scores) {
@@ -523,9 +501,9 @@ fn loop_search(
         }
         BranchClass::LoopExit => {
             // One shared pass over all budgets: entry `n - 2` is the best
-            // machine under budget `n`, and the inverted table and the
+            // machine under budget `n`, and both polarity tables and the
             // per-shape simulations happen once, not once per n.
-            for r in exit_machine_menu(max_states, table, outcomes) {
+            for r in exit_machine_menu(max_states, outcomes) {
                 let misses = r.total - r.correct;
                 let sz = r.machine.len();
                 if misses < best_misses {
@@ -562,7 +540,7 @@ fn rebalance_same_loop_machines(
     // Group machine-winning choices by loop.
     let mut groups: HashMap<(brepl_ir::FuncId, brepl_ir::BlockId), Vec<usize>> = HashMap::new();
     for (idx, c) in choices.iter().enumerate() {
-        if !matches!(c.chosen, ChosenStrategy::Loop(_)) {
+        if !matches!(c.chosen, Some(BranchMachine::Loop(_))) {
             continue;
         }
         let Some(&key) = loop_of.get(&c.site) else {
@@ -575,7 +553,10 @@ fn rebalance_same_loop_machines(
         if idxs.len() < 2 {
             continue; // nothing to balance
         }
-        let product: usize = idxs.iter().map(|&i| choices[i].chosen.states()).product();
+        let product: usize = idxs
+            .iter()
+            .map(|&i| choices[i].chosen.as_ref().map_or(1, BranchMachine::states))
+            .product();
         if product <= MAX_PRODUCT_STATES {
             continue; // independent choices already fit
         }
@@ -605,7 +586,7 @@ fn rebalance_same_loop_machines(
         for (&idx, &(site, n)) in idxs.iter().zip(&allocation.states) {
             debug_assert_eq!(choices[idx].site, site);
             if n <= 1 {
-                choices[idx].chosen = ChosenStrategy::Profile;
+                choices[idx].chosen = None;
                 choices[idx].chosen_misses = choices[idx].profile_misses;
             } else {
                 let menu = &menus[&site];
@@ -615,7 +596,7 @@ fn rebalance_same_loop_machines(
                     .as_ref()
                     .expect("allocation only picks available sizes")
                     .clone();
-                choices[idx].chosen = ChosenStrategy::Loop(machine);
+                choices[idx].chosen = Some(BranchMachine::Loop(machine));
                 choices[idx].chosen_misses = misses;
             }
         }
@@ -707,7 +688,7 @@ mod tests {
             .find(|c| c.site == BranchId(0))
             .unwrap();
         assert_eq!(alt.class, BranchClass::IntraLoop);
-        assert!(matches!(alt.chosen, ChosenStrategy::Loop(_)));
+        assert!(matches!(alt.chosen, Some(BranchMachine::Loop(_))));
         assert_eq!(alt.chosen_misses, 0);
         assert!(alt.profile_misses >= 49);
     }
@@ -727,7 +708,7 @@ mod tests {
             .find(|c| c.site == BranchId(3))
             .unwrap();
         assert_eq!(corr.class, BranchClass::NonLoop);
-        assert!(matches!(corr.chosen, ChosenStrategy::Correlated(_)));
+        assert!(matches!(corr.chosen, Some(BranchMachine::Correlated(_))));
         assert_eq!(corr.chosen_misses, 0, "the copier is fully correlated");
     }
 
@@ -792,8 +773,10 @@ mod tests {
         let product: usize = sel
             .choices()
             .iter()
-            .filter(|c| matches!(c.chosen, ChosenStrategy::Loop(_)))
-            .map(|c| c.chosen.states())
+            .filter_map(|c| match &c.chosen {
+                Some(m @ BranchMachine::Loop(_)) => Some(m.states()),
+                _ => None,
+            })
             .product();
         assert!(
             product <= crate::replicate::MAX_PRODUCT_STATES,
@@ -863,13 +846,14 @@ mod tests {
 
         let t = trace_of(&m, 50);
         let cls = brepl_analysis::classify_module(&m);
-        let skip = fast_path_sites(&t, Some(&cls));
+        let stats = t.stats();
+        let skip = fast_path_sites(&stats, &cls);
         assert_eq!(skip.len(), 1);
         assert!(skip.contains(&BranchId(1)));
 
         // Call below the memo so both paths genuinely run the search.
-        let plain = select_uncached(&m, &t, 4, 1, &HashSet::new());
-        let fast = select_uncached(&m, &t, 4, 1, &skip);
+        let plain = select_uncached(&m, &t, &stats, 4, 1, &HashSet::new());
+        let fast = select_uncached(&m, &t, &stats, 4, 1, &skip);
         assert_eq!(plain, fast, "fast path must be bit-identical");
 
         let (via_api, skips) = select_strategies_classified(&m, &t, 4, Some(&cls));

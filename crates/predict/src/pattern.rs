@@ -14,10 +14,8 @@
 //! paper's string notation "011" (rightmost = most recent) is the integer
 //! `0b011` here.
 
-use std::collections::HashMap;
-
-use brepl_ir::{BranchId, Lanes};
-use brepl_trace::{SiteCounts, Trace};
+use brepl_ir::BranchId;
+use brepl_trace::{packed_site_streams, SiteCounts, Trace};
 
 use crate::report::Report;
 
@@ -33,53 +31,46 @@ pub enum HistoryKind {
 /// The pattern table of a single branch site.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PatternTable {
-    counts: HashMap<u32, SiteCounts>,
+    /// The observed `(pattern, counts)` pairs, in ascending pattern order.
+    counts: Vec<(u32, SiteCounts)>,
     executions: u64,
 }
 
 impl PatternTable {
-    fn record(&mut self, pattern: u32, taken: bool) {
-        let c = self.counts.entry(pattern).or_default();
-        if taken {
-            c.taken += 1;
-        } else {
-            c.not_taken += 1;
-        }
-        self.executions += 1;
-    }
-
-    /// Builds the table of a single branch directly from its outcome
-    /// stream — equal to `PatternTableSet::build` on a one-site trace of
-    /// the same outcomes with [`HistoryKind::Local`] history, without
-    /// materializing the trace. The history register starts at all-zeros.
-    /// The reference the tests check [`PatternTable::complement_single_site`]
-    /// against.
+    /// Builds the table of a single branch from its outcome stream under
+    /// `bits` of local history — the one local-history builder:
+    /// [`PatternTableSet::build`] with [`HistoryKind::Local`] runs it over
+    /// each site's stream. The history register starts at all-zeros.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= bits <= 16`.
-    #[cfg(test)]
-    fn from_outcomes(outcomes: impl IntoIterator<Item = bool>, bits: u32) -> PatternTable {
+    pub fn from_outcomes(outcomes: impl IntoIterator<Item = bool>, bits: u32) -> PatternTable {
         assert!((1..=16).contains(&bits), "history bits must be in 1..=16");
         let mask: u32 = (1 << bits) - 1;
-        let mut scratch = vec![SiteCounts::default(); 1usize << bits];
+        let mut row = vec![SiteCounts::default(); 1usize << bits];
         let mut h: u32 = 0;
         for taken in outcomes {
             let bit = u32::from(taken);
-            let c = &mut scratch[h as usize];
+            let c = &mut row[h as usize];
             c.taken += u64::from(bit);
             c.not_taken += u64::from(1 - bit);
             h = (h << 1 | bit) & mask;
         }
-        let mut table = PatternTable::default();
-        for (pattern, &c) in scratch.iter().enumerate() {
-            let total = c.total();
-            if total > 0 {
-                table.counts.insert(pattern as u32, c);
-                table.executions += total;
-            }
-        }
-        table
+        PatternTable::from_row(&row)
+    }
+
+    /// The table whose counts under pattern `p` are `row[p]`, keeping only
+    /// observed patterns.
+    fn from_row(row: &[SiteCounts]) -> PatternTable {
+        let counts: Vec<(u32, SiteCounts)> = row
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.total() > 0)
+            .map(|(p, &c)| (p as u32, c))
+            .collect();
+        let executions = counts.iter().map(|(_, c)| c.total()).sum();
+        PatternTable { counts, executions }
     }
 
     /// Total executions of the branch.
@@ -94,12 +85,15 @@ impl PatternTable {
 
     /// Counts under one exact full-length pattern.
     pub fn pattern(&self, pattern: u32) -> SiteCounts {
-        self.counts.get(&pattern).copied().unwrap_or_default()
+        self.counts
+            .binary_search_by_key(&pattern, |&(p, _)| p)
+            .map_or_else(|_| SiteCounts::default(), |i| self.counts[i].1)
     }
 
-    /// Iterates `(pattern, counts)` over observed patterns.
+    /// Iterates `(pattern, counts)` over observed patterns, in ascending
+    /// pattern order.
     pub fn iter_patterns(&self) -> impl Iterator<Item = (u32, SiteCounts)> + '_ {
-        self.counts.iter().map(|(&p, &c)| (p, c))
+        self.counts.iter().copied()
     }
 
     /// Aggregated counts over all observed patterns whose `len` low bits
@@ -114,7 +108,7 @@ impl PatternTable {
         assert!(len <= 31, "suffix length exceeds 31 bits");
         let mask = if len == 0 { 0 } else { (1u32 << len) - 1 };
         let mut total = SiteCounts::default();
-        for (&p, c) in &self.counts {
+        for &(p, c) in &self.counts {
             if p & mask == suffix & mask {
                 total.taken += c.taken;
                 total.not_taken += c.not_taken;
@@ -126,76 +120,7 @@ impl PatternTable {
     /// Mispredictions when each full pattern predicts its majority
     /// direction — the ideal history-based semi-static prediction.
     fn ideal_mispredictions(&self) -> u64 {
-        self.counts.values().map(SiteCounts::minority_count).sum()
-    }
-
-    /// The table of the *complemented* outcome stream, derived without
-    /// re-walking the stream.
-    ///
-    /// Preconditions: `self` is the table of a single branch's outcome
-    /// stream under `bits` of local history (history register starting at
-    /// all-zeros, as every builder here does), and `warmup` holds the
-    /// stream's first `min(bits, executions)` outcomes. Then complementing
-    /// the stream complements each event's history register — except for
-    /// the first `bits` events, whose registers are only complemented in
-    /// their low, already-filled bits while the zero padding above stays
-    /// zero. So the result is the complement-swap of every entry
-    /// (`pattern → !pattern`, taken/not-taken exchanged) with those warmup
-    /// events moved from their complement-mapped pattern to the true one.
-    /// Equals the table built from the complemented stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= bits <= 16`.
-    pub fn complement_single_site(&self, bits: u32, warmup: &[bool]) -> PatternTable {
-        assert!((1..=16).contains(&bits), "history bits must be in 1..=16");
-        let mask: u32 = (1 << bits) - 1;
-        debug_assert_eq!(
-            warmup.len() as u64,
-            self.executions.min(u64::from(bits)),
-            "warmup must hold the first min(bits, executions) outcomes"
-        );
-        let mut counts: HashMap<u32, SiteCounts> = HashMap::with_capacity(self.counts.len());
-        for (&p, c) in &self.counts {
-            counts.insert(
-                !p & mask,
-                SiteCounts {
-                    taken: c.not_taken,
-                    not_taken: c.taken,
-                },
-            );
-        }
-        let mut h_orig: u32 = 0;
-        let mut h_inv: u32 = 0;
-        for &o in warmup {
-            // The complemented stream records outcome `!o` at history
-            // `h_inv`; the complement-swap above filed it under
-            // `!h_orig` instead.
-            let filed = !h_orig & mask;
-            if filed != h_inv {
-                let e = counts
-                    .get_mut(&filed)
-                    .expect("complement-swap created every warmup pattern");
-                if o {
-                    e.not_taken -= 1;
-                } else {
-                    e.taken -= 1;
-                }
-                let e = counts.entry(h_inv).or_default();
-                if o {
-                    e.not_taken += 1;
-                } else {
-                    e.taken += 1;
-                }
-            }
-            h_orig = (h_orig << 1 | u32::from(o)) & mask;
-            h_inv = (h_inv << 1 | u32::from(!o)) & mask;
-        }
-        counts.retain(|_, c| c.total() > 0);
-        PatternTable {
-            counts,
-            executions: self.executions,
-        }
+        self.counts.iter().map(|(_, c)| c.minority_count()).sum()
     }
 
     /// Precomputes every suffix aggregation up to `max_len` bits, so
@@ -214,7 +139,7 @@ impl PatternTable {
         };
         let mut levels: Vec<Vec<SiteCounts>> = Vec::with_capacity(max_len as usize + 1);
         let mut top = vec![SiteCounts::default(); 1usize << max_len];
-        for (&p, c) in &self.counts {
+        for &(p, c) in &self.counts {
             let t = &mut top[(p & mask) as usize];
             t.taken += c.taken;
             t.not_taken += c.not_taken;
@@ -239,24 +164,6 @@ impl PatternTable {
             max_len,
             levels,
         }
-    }
-
-    /// A canonical 128-bit fingerprint of the table: equal tables (same
-    /// `(pattern, taken, not_taken)` triples, in any internal order) hash
-    /// equal. Used as a memo key by search caches — two branches with
-    /// identical profiled behavior share one machine search.
-    pub fn fingerprint(&self) -> (u64, u64) {
-        let mut entries: Vec<(u32, SiteCounts)> =
-            self.counts.iter().map(|(&p, &c)| (p, c)).collect();
-        entries.sort_unstable_by_key(|&(p, _)| p);
-        let mut h = Lanes::new();
-        h.mix(entries.len() as u64);
-        for (p, c) in entries {
-            h.mix(u64::from(p));
-            h.mix(c.taken);
-            h.mix(c.not_taken);
-        }
-        h.finish()
     }
 }
 
@@ -288,10 +195,6 @@ impl SuffixAggregate<'_> {
     }
 }
 
-/// Largest dense scratch (in `SiteCounts` entries) the batched builder
-/// will allocate before falling back to per-event hashing.
-const MAX_SCRATCH_ENTRIES: usize = 1 << 22;
-
 /// Pattern tables for every site of one trace, built with a given history
 /// kind and length.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -306,26 +209,40 @@ impl PatternTableSet {
     /// Builds pattern tables from a trace.
     ///
     /// History registers start at all-zeros ("not taken"), matching a
-    /// profiling run that begins with empty history.
+    /// profiling run that begins with empty history. Local history reads
+    /// only a site's own outcomes, so each site's table is
+    /// [`PatternTable::from_outcomes`] over its packed stream. Global
+    /// history interleaves every site, so it takes one pass over the trace
+    /// into a dense `n_sites · 2^bits` scratch; the paper's correlation
+    /// rows use one bit.
     ///
     /// # Panics
     ///
     /// Panics unless `1 <= bits <= 16`.
     pub fn build(trace: &Trace, kind: HistoryKind, bits: u32) -> Self {
         assert!((1..=16).contains(&bits), "history bits must be in 1..=16");
-        let n_sites = trace.max_site().map_or(0, |s| s.index() + 1);
-        // When the dense scratch (one counter row of 2^bits patterns per
-        // site) stays modest, accumulate into a flat array — one indexed
-        // add per event — and compact into the hash-backed tables at the
-        // end. Otherwise (long histories or huge site ranges) fall back
-        // to the per-event hash path.
-        let dense = n_sites
-            .checked_mul(1usize << bits)
-            .is_some_and(|entries| entries <= MAX_SCRATCH_ENTRIES);
-        let tables = if dense {
-            Self::build_dense(trace, kind, bits, n_sites)
-        } else {
-            Self::build_sparse(trace, kind, bits, n_sites)
+        let tables = match kind {
+            HistoryKind::Local => packed_site_streams(trace, &trace.stats())
+                .iter()
+                .map(|stream| PatternTable::from_outcomes(stream.iter(), bits))
+                .collect(),
+            HistoryKind::Global => {
+                let n_sites = trace.max_site().map_or(0, |s| s.index() + 1);
+                let mask: u32 = (1 << bits) - 1;
+                let mut scratch = vec![SiteCounts::default(); n_sites << bits];
+                let mut global: u32 = 0;
+                for &p in trace.packed() {
+                    let taken = u64::from(p & 1);
+                    let c = &mut scratch[((p >> 1) as usize) << bits | global as usize];
+                    c.taken += taken;
+                    c.not_taken += 1 - taken;
+                    global = (global << 1 | p & 1) & mask;
+                }
+                scratch
+                    .chunks_exact(1 << bits)
+                    .map(PatternTable::from_row)
+                    .collect()
+            }
         };
         PatternTableSet {
             kind,
@@ -333,74 +250,6 @@ impl PatternTableSet {
             tables,
             total_events: trace.len() as u64,
         }
-    }
-
-    /// Batched build: per-site dense pattern rows in one flat scratch
-    /// array, then compaction. Produces tables equal to the sparse path.
-    fn build_dense(
-        trace: &Trace,
-        kind: HistoryKind,
-        bits: u32,
-        n_sites: usize,
-    ) -> Vec<PatternTable> {
-        let mask: u32 = (1 << bits) - 1;
-        let mut scratch = vec![SiteCounts::default(); n_sites << bits];
-        let mut global: u32 = 0;
-        let mut local = vec![0u32; n_sites];
-        match kind {
-            HistoryKind::Global => {
-                for &p in trace.packed() {
-                    let i = (p >> 1) as usize;
-                    let taken = u64::from(p & 1);
-                    let c = &mut scratch[i << bits | global as usize];
-                    c.taken += taken;
-                    c.not_taken += 1 - taken;
-                    global = (global << 1 | p & 1) & mask;
-                }
-            }
-            HistoryKind::Local => {
-                for &p in trace.packed() {
-                    let i = (p >> 1) as usize;
-                    let taken = u64::from(p & 1);
-                    let h = local[i];
-                    let c = &mut scratch[i << bits | h as usize];
-                    c.taken += taken;
-                    c.not_taken += 1 - taken;
-                    local[i] = (h << 1 | p & 1) & mask;
-                }
-            }
-        }
-        compact_scratch(&scratch, n_sites, bits)
-    }
-
-    /// Event-by-event hash-table build — the fallback when the dense
-    /// scratch would be too large, and the behavioral definition the
-    /// dense path must match.
-    fn build_sparse(
-        trace: &Trace,
-        kind: HistoryKind,
-        bits: u32,
-        n_sites: usize,
-    ) -> Vec<PatternTable> {
-        let mask: u32 = (1 << bits) - 1;
-        let mut tables: Vec<PatternTable> = Vec::new();
-        tables.resize_with(n_sites, PatternTable::default);
-        let mut global: u32 = 0;
-        let mut local = vec![0u32; n_sites];
-        for ev in trace.iter() {
-            let i = ev.site.index();
-            let h = match kind {
-                HistoryKind::Global => global,
-                HistoryKind::Local => local[i],
-            };
-            tables[i].record(h, ev.taken);
-            let bit = u32::from(ev.taken);
-            match kind {
-                HistoryKind::Global => global = (global << 1 | bit) & mask,
-                HistoryKind::Local => local[i] = (local[i] << 1 | bit) & mask,
-            }
-        }
-        tables
     }
 
     /// The history arrangement used.
@@ -464,16 +313,13 @@ impl PatternTableSet {
             .tables
             .iter()
             .map(|t| {
-                let mut counts: HashMap<u32, SiteCounts> = HashMap::new();
-                for (&p, c) in &t.counts {
-                    let e = counts.entry(p & mask).or_default();
+                let mut row = vec![SiteCounts::default(); 1usize << bits];
+                for &(p, c) in &t.counts {
+                    let e = &mut row[(p & mask) as usize];
                     e.taken += c.taken;
                     e.not_taken += c.not_taken;
                 }
-                PatternTable {
-                    counts,
-                    executions: t.executions,
-                }
+                PatternTable::from_row(&row)
             })
             .collect();
         PatternTableSet {
@@ -503,30 +349,11 @@ impl PatternTableSet {
     }
 }
 
-/// Compacts a dense per-site scratch (`scratch[site << bits | pattern]`)
-/// into hash-backed tables, keeping only observed patterns — the shared
-/// tail of every dense build path.
-fn compact_scratch(scratch: &[SiteCounts], n_sites: usize, bits: u32) -> Vec<PatternTable> {
-    let mut tables = Vec::with_capacity(n_sites);
-    for i in 0..n_sites {
-        let row = &scratch[i << bits..(i + 1) << bits];
-        let mut table = PatternTable::default();
-        for (pattern, &c) in row.iter().enumerate() {
-            let total = c.total();
-            if total > 0 {
-                table.counts.insert(pattern as u32, c);
-                table.executions += total;
-            }
-        }
-        tables.push(table);
-    }
-    tables
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use brepl_trace::TraceEvent;
+    use std::collections::HashMap;
 
     fn ev(site: u32, taken: bool) -> TraceEvent {
         TraceEvent {
@@ -627,92 +454,81 @@ mod tests {
         assert!(prev < 10);
     }
 
-    #[test]
-    fn fingerprint_is_canonical_and_discriminating() {
-        let t = alternating(1000);
-        let a = PatternTableSet::build(&t, HistoryKind::Local, 4);
-        let b = PatternTableSet::build(&t, HistoryKind::Local, 4);
-        // Same data, independently built hash maps: equal fingerprints.
-        assert_eq!(
-            a.site(BranchId(0)).unwrap().fingerprint(),
-            b.site(BranchId(0)).unwrap().fingerprint()
-        );
-        // A different trace produces a different fingerprint.
-        let t2: Trace = (0..1000).map(|i| ev(0, i % 3 == 0)).collect();
-        let c = PatternTableSet::build(&t2, HistoryKind::Local, 4);
-        assert_ne!(
-            a.site(BranchId(0)).unwrap().fingerprint(),
-            c.site(BranchId(0)).unwrap().fingerprint()
-        );
+    /// The event-by-event reference build: every event is filed under its
+    /// history register, in trace order, into one hash map per site.
+    fn build_event_by_event(trace: &Trace, kind: HistoryKind, bits: u32) -> PatternTableSet {
+        let mask: u32 = (1 << bits) - 1;
+        let n_sites = trace.max_site().map_or(0, |s| s.index() + 1);
+        let mut maps: Vec<HashMap<u32, SiteCounts>> = vec![HashMap::new(); n_sites];
+        let mut global: u32 = 0;
+        let mut local = vec![0u32; n_sites];
+        for ev in trace.iter() {
+            let i = ev.site.index();
+            let h = match kind {
+                HistoryKind::Global => global,
+                HistoryKind::Local => local[i],
+            };
+            let c = maps[i].entry(h).or_default();
+            if ev.taken {
+                c.taken += 1;
+            } else {
+                c.not_taken += 1;
+            }
+            let bit = u32::from(ev.taken);
+            global = (global << 1 | bit) & mask;
+            local[i] = (local[i] << 1 | bit) & mask;
+        }
+        let tables = maps
+            .into_iter()
+            .map(|map| {
+                let mut counts: Vec<(u32, SiteCounts)> = map.into_iter().collect();
+                counts.sort_unstable_by_key(|&(p, _)| p);
+                let executions = counts.iter().map(|(_, c)| c.total()).sum();
+                PatternTable { counts, executions }
+            })
+            .collect();
+        PatternTableSet {
+            kind,
+            bits,
+            tables,
+            total_events: trace.len() as u64,
+        }
     }
 
-    #[test]
-    fn dense_and_sparse_builds_agree() {
-        // The batched dense-scratch build must produce tables *equal* to
-        // the event-by-event hash build, for both history kinds,
-        // including warmup patterns and multi-site interleavings.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut trace = Trace::new();
-        for _ in 0..50_000 {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            trace.push(ev((r % 13) as u32, r & (1 << 40) != 0));
-        }
+    fn assert_build_equals_event_by_event(trace: &Trace, what: &str) {
         for kind in [HistoryKind::Global, HistoryKind::Local] {
             for bits in [1, 4, 9] {
-                let n_sites = trace.max_site().map_or(0, |s| s.index() + 1);
-                let dense = PatternTableSet::build_dense(&trace, kind, bits, n_sites);
-                let sparse = PatternTableSet::build_sparse(&trace, kind, bits, n_sites);
-                assert_eq!(dense, sparse, "kind={kind:?} bits={bits}");
+                assert_eq!(
+                    PatternTableSet::build(trace, kind, bits),
+                    build_event_by_event(trace, kind, bits),
+                    "{what}: kind={kind:?} bits={bits}"
+                );
             }
         }
     }
 
     #[test]
-    fn from_outcomes_equals_single_site_build() {
-        let mut state = 0xfeed_face_cafe_f00du64;
-        for n in [0usize, 1, 100, 5000] {
-            let dirs: Vec<bool> = (0..n)
-                .map(|_| {
-                    state ^= state >> 12;
-                    state ^= state << 25;
-                    state ^= state >> 27;
-                    state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63 == 1
-                })
-                .collect();
-            for bits in [1, 4, 9] {
-                let direct = PatternTable::from_outcomes(dirs.iter().copied(), bits);
-                let t: Trace = dirs.iter().map(|&d| ev(0, d)).collect();
-                let via_set = PatternTableSet::build(&t, HistoryKind::Local, bits);
-                match via_set.site(BranchId(0)) {
-                    Some(table) => assert_eq!(&direct, table, "n={n} bits={bits}"),
-                    None => assert_eq!(direct.executions(), 0),
-                }
+    fn build_equals_event_by_event_on_random_traces() {
+        // Multi-site interleavings, warmup patterns, and a one-event trace.
+        let mut state = 0x1234_5678_9abc_def0u64;
+        for (n, sites) in [(0usize, 1u64), (1, 1), (100, 3), (50_000, 13)] {
+            let mut trace = Trace::new();
+            for _ in 0..n {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                trace.push(ev((r % sites) as u32, r & (1 << 40) != 0));
             }
+            assert_build_equals_event_by_event(&trace, &format!("{n} events"));
         }
     }
 
     #[test]
-    fn complement_single_site_equals_inverted_rebuild() {
-        let mut state = 0x0dd0_b0a7_1234_5678u64;
-        for n in [0usize, 1, 3, 8, 9, 10, 100, 5000] {
-            let dirs: Vec<bool> = (0..n)
-                .map(|_| {
-                    state ^= state >> 12;
-                    state ^= state << 25;
-                    state ^= state >> 27;
-                    state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63 == 1
-                })
-                .collect();
-            for bits in [1u32, 4, 9] {
-                let table = PatternTable::from_outcomes(dirs.iter().copied(), bits);
-                let warmup: Vec<bool> = dirs.iter().copied().take(bits as usize).collect();
-                let derived = table.complement_single_site(bits, &warmup);
-                let rebuilt = PatternTable::from_outcomes(dirs.iter().map(|&d| !d), bits);
-                assert_eq!(derived, rebuilt, "n={n} bits={bits}");
-            }
+    fn build_equals_event_by_event_on_every_small_workload() {
+        for w in brepl_workloads::all_workloads(brepl_workloads::Scale::Small) {
+            let trace = w.run().expect("workload runs").trace;
+            assert_build_equals_event_by_event(&trace, w.name);
         }
     }
 

@@ -150,28 +150,9 @@ impl Trace {
         h.finish()
     }
 
-    /// The event at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn get(&self, idx: usize) -> TraceEvent {
-        let p = self.packed[idx];
-        TraceEvent {
-            site: BranchId(p >> 1),
-            taken: p & 1 == 1,
-        }
-    }
-
     /// Computes per-site statistics in one pass.
     pub fn stats(&self) -> TraceStats {
         TraceStats::from_trace(self)
-    }
-
-    /// Truncates the trace to at most `n` events (the paper traces "up to a
-    /// maximum of 10 million branch instructions").
-    pub fn truncate(&mut self, n: usize) {
-        self.packed.truncate(n);
     }
 
     /// Serializes the trace: magic, version, event count, varint-encoded
@@ -329,23 +310,6 @@ mod tests {
             Trace::from_bytes(&bytes[..bytes.len() - 13]),
             Err(TraceError::Truncated)
         );
-    }
-
-    #[test]
-    fn get_and_iter_agree() {
-        let t = loopy_trace(50);
-        for (i, ev) in t.iter().enumerate() {
-            assert_eq!(t.get(i), ev);
-        }
-    }
-
-    #[test]
-    fn truncate_limits_length() {
-        let mut t = loopy_trace(100);
-        t.truncate(10);
-        assert_eq!(t.len(), 10);
-        t.truncate(50); // no-op beyond length
-        assert_eq!(t.len(), 10);
     }
 
     #[test]

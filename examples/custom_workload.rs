@@ -5,6 +5,7 @@
 //! Run with `cargo run --example custom_workload`.
 
 use brepl::core::greedy::greedy_curve;
+use brepl::core::BranchMachine;
 use brepl::ir::parse_module;
 use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl::sim::{Machine, RunConfig};
@@ -70,7 +71,7 @@ fn main() {
             "  {}: {:?} -> {} states, {} -> {} misses",
             choice.site,
             choice.class,
-            choice.chosen.states(),
+            choice.chosen.as_ref().map_or(1, BranchMachine::states),
             choice.profile_misses,
             choice.chosen_misses
         );

@@ -17,6 +17,7 @@
 use std::process::ExitCode;
 
 use brepl::cfg::function_to_dot;
+use brepl::core::BranchMachine;
 use brepl::ir::{parse_module, Module, Value};
 use brepl::pipeline::{run_pipeline, PipelineConfig};
 use brepl::predict::dynamic::{Gshare, LastDirection, SaturatingCounters, TwoLevel};
@@ -196,7 +197,7 @@ fn cmd_replicate(args: &[String]) -> Result<(), String> {
                 "  {}: {:?}, {} states, {} -> {} misses",
                 c.site,
                 c.class,
-                c.chosen.states(),
+                c.chosen.as_ref().map_or(1, BranchMachine::states),
                 c.profile_misses,
                 c.chosen_misses
             );

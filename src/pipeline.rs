@@ -793,7 +793,7 @@ fn drive(
                     .assignments
                     .iter()
                     .filter(|(s, _)| ledger.enabled.contains(*s))
-                    .map(|(&s, m)| (s, machine_states(m)))
+                    .map(|(&s, m)| (s, m.states()))
                     .max_by_key(|&(s, st)| (st, std::cmp::Reverse(s)))
                     .expect("enabled sites all have plan entries");
                 let to_states = if states > 2 { (states / 2).max(2) } else { 0 };
@@ -1180,14 +1180,6 @@ fn run_once<S: EventSink>(
     machine.set_input(input.to_vec());
     let ran = machine.run_with("main", args, &[], sink)?;
     Ok((ran, machine.into_output()))
-}
-
-/// State count of a planned machine.
-fn machine_states(m: &BranchMachine) -> usize {
-    match m {
-        BranchMachine::Loop(sm) => sm.len(),
-        BranchMachine::Correlated(c) => c.states(),
-    }
 }
 
 /// Sorted, deduplicated codes of a diagnostic batch.
