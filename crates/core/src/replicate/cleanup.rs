@@ -11,7 +11,7 @@ use brepl_ir::{BlockId, Function};
 ///
 /// Returns the remapping `old block id -> new block id` (`None` for
 /// removed blocks).
-pub fn remove_unreachable(func: &mut Function) -> Vec<Option<BlockId>> {
+pub(super) fn remove_unreachable(func: &mut Function) -> Vec<Option<BlockId>> {
     let n = func.blocks.len();
     let reachable = Cfg::new(func).reachable();
     let mut map: Vec<Option<BlockId>> = vec![None; n];

@@ -12,11 +12,12 @@ use std::collections::BTreeSet;
 
 use brepl_ir::{BlockId, Function};
 
+use super::Replication;
 use crate::machine::StateMachine;
 
 /// Why a loop could not be replicated.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LoopReplicateError {
+pub(super) enum LoopReplicateError {
     /// A planned branch block is not inside the given loop.
     BranchNotInLoop(BlockId),
     /// The product state space exceeds the configured cap.
@@ -51,21 +52,12 @@ impl std::error::Error for LoopReplicateError {}
 /// code-size factor 5).
 pub const MAX_PRODUCT_STATES: usize = 512;
 
-/// The result of replicating one loop.
-#[derive(Clone, Debug)]
-pub struct LoopReplication {
-    /// For every product state, the map `original loop block -> copy`.
-    /// State of the *initial* product state maps blocks to themselves.
-    pub copies: Vec<Vec<(BlockId, BlockId)>>,
-    /// For every `(branch_block_copy, prediction)` of every replicated
-    /// branch: the static prediction the copy's state dictates.
-    pub branch_predictions: Vec<(BlockId, bool)>,
-    /// Blocks added by the replication.
-    pub added_blocks: usize,
-}
-
 /// Replicates `loop_blocks` of `func` with the product of `machines`, one
 /// machine per improved branch (`(branch block, machine)` pairs).
+///
+/// The result logs every `(original loop block, copy)` the non-initial
+/// product states add, and pins each copy of a controlled branch to the
+/// prediction of its state.
 ///
 /// External entries into the loop keep flowing to the original blocks, so
 /// the original copy must represent the initial product state — which it
@@ -80,11 +72,11 @@ pub struct LoopReplication {
 ///
 /// Returns a [`LoopReplicateError`] when a branch lies outside the loop or
 /// the product space exceeds [`MAX_PRODUCT_STATES`].
-pub fn replicate_loop(
+pub(super) fn replicate_loop(
     func: &mut Function,
     loop_blocks: &BTreeSet<BlockId>,
     machines: &[(BlockId, &StateMachine)],
-) -> Result<LoopReplication, LoopReplicateError> {
+) -> Result<Replication, LoopReplicateError> {
     if machines.is_empty() {
         return Err(LoopReplicateError::NoMachines);
     }
@@ -125,7 +117,7 @@ pub fn replicate_loop(
     // every other state gets fresh clones appended at the end.
     let loop_list: Vec<BlockId> = loop_blocks.iter().copied().collect();
     let mut copy_of = vec![vec![BlockId(0); loop_list.len()]; product];
-    let mut added = 0usize;
+    let mut copies = Vec::with_capacity((product - 1) * loop_list.len());
     // `s` is the product-state index, a semantic quantity, not just a
     // position in `copy_of`.
     #[allow(clippy::needless_range_loop)]
@@ -138,14 +130,14 @@ pub fn replicate_loop(
                 let cloned = func.block(orig).clone();
                 func.blocks.push(cloned);
                 copy_of[s][li] = id;
-                added += 1;
+                copies.push((orig, id));
             }
         }
     }
     let loop_index = |b: BlockId| loop_list.iter().position(|&x| x == b);
 
     // Rewire every copy.
-    let mut branch_predictions = Vec::new();
+    let mut pins = Vec::new();
     for s in 0..product {
         let comps = decode(s);
         for (li, &orig) in loop_list.iter().enumerate() {
@@ -154,7 +146,7 @@ pub fn replicate_loop(
             let owner = machines.iter().position(|&(bb, _)| bb == orig);
             if let Some(mi) = owner {
                 let machine = machines[mi].1;
-                branch_predictions.push((this, machine.states()[comps[mi]].predict));
+                pins.push((this, machine.states()[comps[mi]].predict));
             }
             let term = &mut func.blocks[this.index()].term;
             // Compute the taken/not-taken successor states.
@@ -191,15 +183,7 @@ pub fn replicate_loop(
         }
     }
 
-    let copies = copy_of
-        .into_iter()
-        .map(|c| loop_list.iter().copied().zip(c).collect())
-        .collect();
-    Ok(LoopReplication {
-        copies,
-        branch_predictions,
-        added_blocks: added,
-    })
+    Ok(Replication { copies, pins })
 }
 
 #[cfg(test)]
@@ -291,8 +275,9 @@ mod tests {
         let machine = two_state_machine();
         let branch_block = BlockId(1); // head holds the alternating branch
         let info = replicate_loop(func, &loop_blocks, &[(branch_block, &machine)]).unwrap();
-        assert_eq!(info.copies.len(), 2);
-        assert_eq!(info.branch_predictions.len(), 2);
+        // One non-initial state: one copy of each loop block.
+        assert_eq!(info.copies.len(), loop_blocks.len());
+        assert_eq!(info.pins.len(), 2);
         super::super::cleanup::remove_unreachable(func);
         replicated.renumber_branches();
         replicated.verify().unwrap();
@@ -348,7 +333,7 @@ mod tests {
         let m2 = two_state_machine();
         let info =
             replicate_loop(func, &loop_blocks, &[(BlockId(1), &m1), (BlockId(4), &m2)]).unwrap();
-        assert_eq!(info.copies.len(), 4);
+        assert_eq!(info.copies.len(), 3 * loop_blocks.len());
         super::super::cleanup::remove_unreachable(func);
         replicated.renumber_branches();
         replicated.verify().unwrap();

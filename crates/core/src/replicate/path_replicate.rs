@@ -11,20 +11,8 @@
 
 use brepl_ir::{BlockId, BranchId, Function, Term};
 
+use super::Replication;
 use crate::correlated::CorrelatedMachine;
-
-/// Result of splitting a block by predecessor paths.
-#[derive(Clone, Debug)]
-pub struct PathSplit {
-    /// All copies of the split block (the original comes first).
-    pub branch_copies: Vec<BlockId>,
-    /// Blocks added in total (including duplicated intermediate blocks).
-    pub added_blocks: usize,
-    /// Every `(source, clone)` pair in creation order — clone ids are
-    /// consecutive and each source precedes its clone, so origin maps can
-    /// replay the log front to back.
-    pub clones: Vec<(BlockId, BlockId)>,
-}
 
 /// Collects `(pred block, is_taken_edge_slot)` pairs — one entry per
 /// incoming edge of `block`.
@@ -53,20 +41,26 @@ fn retarget_edge(func: &mut Function, pred: BlockId, slot: usize, new_target: Bl
 /// Duplicates `block` (and, recursively, its predecessors) so that every
 /// copy of `block` has a unique predecessor chain of length up to `depth`.
 /// The entry block and blocks on a cycle back to themselves are never
-/// split. Returns the copies of `block`.
+/// split. Returns every `(source, clone)` pair in push order; the copies
+/// of `block` are `block` itself and its clones ([`copies_of`]).
 ///
 /// The caller must renumber branch sites afterwards (copies carry stale
 /// ids, which is what provenance tracking expects).
-fn split_by_paths(func: &mut Function, block: BlockId, depth: usize) -> PathSplit {
-    let mut added = 0usize;
-    let mut stack = Vec::new();
+fn split_by_paths(func: &mut Function, block: BlockId, depth: usize) -> Vec<(BlockId, BlockId)> {
     let mut clones = Vec::new();
-    let copies = split_rec(func, block, depth, &mut stack, &mut added, &mut clones);
-    PathSplit {
-        branch_copies: copies,
-        added_blocks: added,
-        clones,
-    }
+    split_rec(func, block, depth, &mut Vec::new(), &mut clones);
+    clones
+}
+
+/// `block` and its clones in `log`, the original first. `block` is on the
+/// recursion stack while its predecessors split, so only the top level of
+/// [`split_by_paths`] clones it.
+fn copies_of(block: BlockId, log: &[(BlockId, BlockId)]) -> impl Iterator<Item = BlockId> + '_ {
+    std::iter::once(block).chain(
+        log.iter()
+            .filter(move |&&(src, _)| src == block)
+            .map(|&(_, clone)| clone),
+    )
 }
 
 fn split_rec(
@@ -74,11 +68,10 @@ fn split_rec(
     block: BlockId,
     depth: usize,
     stack: &mut Vec<BlockId>,
-    added: &mut usize,
     clones: &mut Vec<(BlockId, BlockId)>,
-) -> Vec<BlockId> {
+) {
     if depth == 0 || block == func.entry || stack.contains(&block) {
-        return vec![block];
+        return;
     }
     stack.push(block);
     // First give each predecessor a unique chain (so the edges arriving
@@ -100,24 +93,20 @@ fn split_rec(
                 Term::Br { .. } => depth - 1,
                 _ => depth,
             };
-            let _ = split_rec(func, p, pred_depth, stack, added, clones);
+            split_rec(func, p, pred_depth, stack, clones);
         }
     }
     stack.pop();
 
     // ... then give each incoming edge its own copy of this block.
     let edges = incoming_edges(func, block);
-    let mut copies = vec![block];
     for &(pred, slot) in edges.iter().skip(1) {
         let clone = func.block(block).clone();
         let id = BlockId::from_index(func.blocks.len());
         func.blocks.push(clone);
         clones.push((block, id));
-        *added += 1;
         retarget_edge(func, pred, slot, id);
-        copies.push(id);
     }
-    copies
 }
 
 /// Walks backwards from `block` along unique-predecessor chains, collecting
@@ -150,16 +139,14 @@ fn decision_path(func: &Function, block: BlockId, depth: usize) -> Vec<(BranchId
 }
 
 /// Applies a correlated machine to `func`: splits the branch's block to
-/// the machine's maximum path depth and returns, for every copy, the
-/// static prediction of the matching path state.
-///
-/// Returns `(copies_with_predictions, split)` — the [`PathSplit`] carries
-/// the clone log so origin maps can follow the duplication.
-pub fn replicate_correlated(
+/// the machine's maximum path depth, logs every clone the split makes
+/// and pins every copy of the branch to the static prediction of the
+/// matching path state.
+pub(super) fn replicate_correlated(
     func: &mut Function,
     branch_block: BlockId,
     machine: &CorrelatedMachine,
-) -> (Vec<(BlockId, bool)>, PathSplit) {
+) -> Replication {
     let depth = machine
         .paths
         .iter()
@@ -167,23 +154,16 @@ pub fn replicate_correlated(
         .max()
         .unwrap_or(0);
     if depth == 0 {
-        let split = PathSplit {
-            branch_copies: vec![branch_block],
-            added_blocks: 0,
-            clones: Vec::new(),
+        return Replication {
+            copies: Vec::new(),
+            pins: vec![(branch_block, machine.catch_all)],
         };
-        return (vec![(branch_block, machine.catch_all)], split);
     }
-    let split = split_by_paths(func, branch_block, depth);
-    let annotated = split
-        .branch_copies
-        .iter()
-        .map(|&copy| {
-            let recent = decision_path(func, copy, depth);
-            (copy, machine.predict(&recent))
-        })
+    let copies = split_by_paths(func, branch_block, depth);
+    let pins = copies_of(branch_block, &copies)
+        .map(|copy| (copy, machine.predict(&decision_path(func, copy, depth))))
         .collect();
-    (annotated, split)
+    Replication { copies, pins }
 }
 
 #[cfg(test)]
@@ -226,9 +206,9 @@ mod tests {
         let mut m = correlated_module();
         let fid = m.function_by_name("main").unwrap();
         let func = m.function_mut(fid);
-        let split = split_by_paths(func, BlockId(3), 1);
-        assert_eq!(split.branch_copies.len(), 2);
-        assert_eq!(split.added_blocks, 1);
+        let clones = split_by_paths(func, BlockId(3), 1);
+        assert_eq!(copies_of(BlockId(3), &clones).count(), 2);
+        assert_eq!(clones.len(), 1);
         m.renumber_branches();
         m.verify().unwrap();
         // Each copy has exactly one predecessor now.
@@ -244,10 +224,10 @@ mod tests {
         let mut m = correlated_module();
         let fid = m.function_by_name("main").unwrap();
         let func = m.function_mut(fid);
-        let split = split_by_paths(func, BlockId(3), 2);
+        let clones = split_by_paths(func, BlockId(3), 2);
         let func = m.function(fid);
         let mut dirs = Vec::new();
-        for &c in &split.branch_copies {
+        for c in copies_of(BlockId(3), &clones) {
             let path = decision_path(func, c, 2);
             assert_eq!(path.len(), 1, "one decision precedes the join");
             dirs.push(path[0].1);
@@ -281,12 +261,11 @@ mod tests {
         let mut transformed = m.clone();
         let fid = transformed.function_by_name("main").unwrap();
         let func = transformed.function_mut(fid);
-        let (annotated, split) = replicate_correlated(func, BlockId(3), &machine);
-        assert_eq!(annotated.len(), 2);
-        assert_eq!(split.added_blocks, 1);
-        assert_eq!(split.clones.len(), 1);
+        let replication = replicate_correlated(func, BlockId(3), &machine);
+        assert_eq!(replication.pins.len(), 2);
+        assert_eq!(replication.copies.len(), 1);
         // The clone log's source is the split block; the clone id is fresh.
-        assert_eq!(split.clones[0].0, BlockId(3));
+        assert_eq!(replication.copies[0], (BlockId(3), BlockId(6)));
         super::super::cleanup::remove_unreachable(func);
         transformed.renumber_branches();
         transformed.verify().unwrap();
@@ -303,7 +282,7 @@ mod tests {
             assert_eq!(a.result, b.result, "arg {arg}");
         }
         // One copy predicts taken, the other not taken.
-        let mut preds: Vec<bool> = annotated.iter().map(|&(_, p)| p).collect();
+        let mut preds: Vec<bool> = replication.pins.iter().map(|&(_, p)| p).collect();
         preds.sort();
         assert_eq!(preds, vec![false, true]);
     }
@@ -313,9 +292,7 @@ mod tests {
         let mut m = correlated_module();
         let fid = m.function_by_name("main").unwrap();
         let func = m.function_mut(fid);
-        let split = split_by_paths(func, BlockId(0), 3);
-        assert_eq!(split.branch_copies, vec![BlockId(0)]);
-        assert_eq!(split.added_blocks, 0);
+        assert!(split_by_paths(func, BlockId(0), 3).is_empty());
     }
 
     #[test]
@@ -339,8 +316,7 @@ mod tests {
         m.push_function(b.finish());
         let fid = m.function_by_name("main").unwrap();
         let func = m.function_mut(fid);
-        let split = split_by_paths(func, BlockId(2), 4);
-        assert!(!split.branch_copies.is_empty());
+        let _ = split_by_paths(func, BlockId(2), 4);
         m.renumber_branches();
         m.verify().unwrap();
     }

@@ -8,47 +8,17 @@ use brepl_ir::{BlockId, Function, Term};
 
 use super::cleanup::remove_unreachable;
 
-/// Statistics from one simplification run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimplifyStats {
-    /// Edges redirected past empty jump-only blocks.
-    pub threaded_edges: usize,
-    /// Straight-line block pairs merged.
-    pub merged_blocks: usize,
-    /// Blocks removed (unreachable after threading).
-    pub removed_blocks: usize,
-}
-
 /// What simplification did to the block structure, in enough detail to
-/// replay it over any per-block side table (origin chains, predictions).
+/// replay it over the replicator's per-block notes.
 #[derive(Clone, Debug, Default)]
-pub struct SimplifyTrace {
+pub(super) struct SimplifyTrace {
     /// Straight-line merges `(absorber, donor)` in the order they were
-    /// performed: the donor's instruction stream was appended to the
-    /// absorber. Replay front to back — an absorber may later donate.
-    pub merges: Vec<(BlockId, BlockId)>,
+    /// performed: the donor's instruction stream and terminator moved to
+    /// the absorber. Replay front to back — an absorber may later donate.
+    pub(super) merges: Vec<(BlockId, BlockId)>,
     /// The final unreachable-block cleanup map, indexed by pre-cleanup
     /// block id (block count is unchanged by threading and merging).
-    pub cleanup: Vec<Option<BlockId>>,
-}
-
-impl SimplifyTrace {
-    /// Composes the merge log and cleanup into a single map: `map[old] =
-    /// Some(new)` says old block's contents (in particular its terminator)
-    /// live in `new`; `None` means the block became unreachable.
-    pub fn block_map(&self) -> Vec<Option<BlockId>> {
-        let mut home: Vec<usize> = (0..self.cleanup.len()).collect();
-        for &(a, t) in &self.merges {
-            for h in home.iter_mut() {
-                if *h == t.index() {
-                    *h = a.index();
-                }
-            }
-        }
-        home.into_iter()
-            .map(|h| self.cleanup.get(h).copied().flatten())
-            .collect()
-    }
+    pub(super) cleanup: Vec<Option<BlockId>>,
 }
 
 /// Threads edges through empty jump-only blocks and merges straight-line
@@ -56,11 +26,10 @@ impl SimplifyTrace {
 /// their site ids are never touched, so predictions and provenance remain
 /// valid.
 ///
-/// Also returns the [`SimplifyTrace`]: the replicator replays its merge
-/// log over its origin chains (a merge concatenates the donor's chain
-/// onto the absorber's).
-pub fn simplify_function_tracked(func: &mut Function) -> (SimplifyStats, SimplifyTrace) {
-    let mut stats = SimplifyStats::default();
+/// Returns the [`SimplifyTrace`]: the replicator replays its merge log
+/// over its per-block notes (a merge concatenates the donor's origin
+/// chain onto the absorber's and moves the donor's pin there).
+pub(super) fn simplify_function_tracked(func: &mut Function) -> SimplifyTrace {
     let mut trace = SimplifyTrace::default();
 
     // --- 1. Jump threading: resolve chains of empty `jmp` blocks. -------
@@ -83,16 +52,8 @@ pub fn simplify_function_tracked(func: &mut Function) -> (SimplifyStats, Simplif
         }
         forward[b] = cur;
     }
-    for b in 0..n {
-        let mut changed = 0;
-        func.blocks[b].term.map_successors(|t| {
-            let f = forward[t.index()];
-            if f != t {
-                changed += 1;
-            }
-            f
-        });
-        stats.threaded_edges += changed;
+    for block in &mut func.blocks {
+        block.term.map_successors(|t| forward[t.index()]);
     }
     // The entry may itself be an empty jump chain.
     let fwd_entry = forward[func.entry.index()];
@@ -130,7 +91,6 @@ pub fn simplify_function_tracked(func: &mut Function) -> (SimplifyStats, Simplif
             trace
                 .merges
                 .push((BlockId::from_index(a), BlockId::from_index(t)));
-            stats.merged_blocks += 1;
             merged_any = true;
             break; // recompute predecessor counts from scratch
         }
@@ -140,10 +100,8 @@ pub fn simplify_function_tracked(func: &mut Function) -> (SimplifyStats, Simplif
     }
 
     // --- 3. Drop whatever became unreachable. ----------------------------
-    let before = func.blocks.len();
     trace.cleanup = remove_unreachable(func);
-    stats.removed_blocks = before - func.blocks.len();
-    (stats, trace)
+    trace
 }
 
 #[cfg(test)]
@@ -193,11 +151,13 @@ mod tests {
             .unwrap()
             .run("main", &[Value::Int(5)])
             .unwrap();
-        let (stats, _) = simplify_function_tracked(m.function_mut(FuncId(0)));
+        let trace = simplify_function_tracked(m.function_mut(FuncId(0)));
         m.renumber_branches();
         m.verify().unwrap();
-        assert!(stats.threaded_edges > 0);
-        assert!(stats.removed_blocks > 0);
+        assert!(
+            trace.cleanup.contains(&None),
+            "threaded-away glue is removed"
+        );
         assert!(m.size_units() < before);
         // Semantics preserved (branch events too).
         let after = Machine::new(&m, RunConfig::default())
