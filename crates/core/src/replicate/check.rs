@@ -68,6 +68,8 @@ impl std::error::Error for EquivalenceError {}
 /// Runs both programs on the same input and verifies result, output tape
 /// and the per-original-site branch histogram all match, and that the
 /// replicated program executes no more instructions than the original.
+/// Both runs only count their branches per site, as the pipeline's
+/// measuring runs do; no trace is recorded.
 ///
 /// # Errors
 ///
@@ -82,12 +84,16 @@ pub fn check_equivalence(
     let run = |module: &Module| -> Result<_, RunError> {
         let mut m = Machine::new(module, RunConfig::default())?;
         m.set_input(input.to_vec());
-        let outcome = m.run(entry, args)?;
-        Ok((outcome, m.output().to_vec()))
+        let run = m.run_with(entry, args, &[], TraceStats::default())?;
+        Ok((run, m.into_output()))
     };
     let (a, a_out) = run(original).map_err(|e| EquivalenceError::Trap(e.to_string()))?;
     let (b, b_out) = run(&replicated.module).map_err(|e| EquivalenceError::Trap(e.to_string()))?;
-    check_equivalence_outcomes(replicated, &a, &a_out, &b, &b_out)
+    check_equivalence_counts(
+        replicated,
+        RunCounts::of(&a, &a.sink, &a_out),
+        RunCounts::of(&b, &b.sink, &b_out),
+    )
 }
 
 /// What the backstop compares of one run: its result, step count,
