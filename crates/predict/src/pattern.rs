@@ -202,7 +202,6 @@ pub struct PatternTableSet {
     kind: HistoryKind,
     bits: u32,
     tables: Vec<PatternTable>,
-    total_events: u64,
 }
 
 impl PatternTableSet {
@@ -244,12 +243,7 @@ impl PatternTableSet {
                     .collect()
             }
         };
-        PatternTableSet {
-            kind,
-            bits,
-            tables,
-            total_events: trace.len() as u64,
-        }
+        PatternTableSet { kind, bits, tables }
     }
 
     /// The history arrangement used.
@@ -326,7 +320,6 @@ impl PatternTableSet {
             kind: self.kind,
             bits,
             tables,
-            total_events: self.total_events,
         }
     }
 
@@ -487,12 +480,7 @@ mod tests {
                 PatternTable { counts, executions }
             })
             .collect();
-        PatternTableSet {
-            kind,
-            bits,
-            tables,
-            total_events: trace.len() as u64,
-        }
+        PatternTableSet { kind, bits, tables }
     }
 
     fn assert_build_equals_event_by_event(trace: &Trace, what: &str) {
