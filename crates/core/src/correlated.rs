@@ -271,25 +271,29 @@ impl PathProfile {
         self.total
     }
 
-    /// Mispredictions of a given selected path set.
-    fn mispredictions_of(&self, selected: &[bool]) -> u64 {
+    /// Routes each group's counts to the longest selected candidate on its
+    /// suffix chain, or to the catch-all when the chain holds none.
+    /// Returns the per-candidate counts and the catch-all's.
+    fn route(&self, selected: &[bool]) -> (Vec<SiteCounts>, SiteCounts) {
         let mut per_target: Vec<SiteCounts> = vec![SiteCounts::default(); self.candidates.len()];
         let mut catch = self.unmatched;
         for (g, counts) in self.group_counts.iter().enumerate() {
             if counts.total() == 0 {
                 continue;
             }
-            match self.chain[g].iter().find(|&&i| selected[i]) {
-                Some(&i) => {
-                    per_target[i].taken += counts.taken;
-                    per_target[i].not_taken += counts.not_taken;
-                }
-                None => {
-                    catch.taken += counts.taken;
-                    catch.not_taken += counts.not_taken;
-                }
-            }
+            let bucket = match self.chain[g].iter().find(|&&i| selected[i]) {
+                Some(&i) => &mut per_target[i],
+                None => &mut catch,
+            };
+            bucket.taken += counts.taken;
+            bucket.not_taken += counts.not_taken;
         }
+        (per_target, catch)
+    }
+
+    /// Mispredictions of a given selected path set.
+    fn mispredictions_of(&self, selected: &[bool]) -> u64 {
+        let (per_target, catch) = self.route(selected);
         per_target
             .iter()
             .map(SiteCounts::minority_count)
@@ -346,20 +350,7 @@ impl PathProfile {
         }
 
         // Final predictions: recompute routed counts.
-        let mut per_target: Vec<SiteCounts> = vec![SiteCounts::default(); n];
-        let mut catch = self.unmatched;
-        for (g, counts) in self.group_counts.iter().enumerate() {
-            match self.chain[g].iter().find(|&&i| selected[i]) {
-                Some(&i) => {
-                    per_target[i].taken += counts.taken;
-                    per_target[i].not_taken += counts.not_taken;
-                }
-                None => {
-                    catch.taken += counts.taken;
-                    catch.not_taken += counts.not_taken;
-                }
-            }
-        }
+        let (per_target, catch) = self.route(&selected);
         let paths: Vec<(Vec<PathStep>, bool)> = (0..n)
             .filter(|&i| selected[i])
             .map(|i| {
