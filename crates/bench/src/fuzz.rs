@@ -8,7 +8,7 @@
 //! [`shrink`] reduces a failing case to a minimal `(diamonds, trip)`.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, UnwindSafe};
 
 use brepl::pipeline::{run_pipeline, PipelineConfig};
@@ -16,19 +16,21 @@ use brepl_analysis::{
     classification_diags, classify_module, estimate_profile, static_cost, static_profile_diags,
     DiagCode, Severity,
 };
-use brepl_core::ReplicatedProgram;
+use brepl_cfg::{Cfg, ClassifiedBranches, DomTree, LoopForest, PredecessorPaths};
+use brepl_core::correlated::profile_paths;
+use brepl_core::{ProfileFold, ReplicatedProgram};
 use brepl_ir::{BranchId, Module, Value};
 use brepl_predict::StaticPrediction;
 use brepl_sim::{Machine, Outcome, RunConfig};
-use brepl_trace::{EventSink, SegmentFold, TraceStats};
+use brepl_trace::{packed_site_streams, EventSink, SegmentFold, TraceStats};
 use brepl_workloads::synth::random_loop_module;
 
 /// Pipeline oracle: the full pipeline under `config`, with every gate and
 /// the dynamic backstop armed, so success implies execution equivalence
 /// between the original and the shipped program. Quarantine may fire in
 /// default mode; a strict run that returns quarantined sites fails. Both
-/// programs then pass [`sink_differential`], and the shipped one
-/// [`replay_differential`].
+/// programs then pass [`sink_differential`] and [`profile_differential`],
+/// and the shipped one [`replay_differential`].
 pub fn pipeline_case(
     seed: u64,
     diamonds: usize,
@@ -44,6 +46,10 @@ pub fn pipeline_case(
         }
         sink_differential(&m, &[], &[]).map_err(|e| format!("original: {e}"))?;
         sink_differential(&result.program.module, &[], &[]).map_err(|e| format!("shipped: {e}"))?;
+        profile_differential(&m, &[], &[], config.max_states)
+            .map_err(|e| format!("original: {e}"))?;
+        profile_differential(&result.program.module, &[], &[], config.max_states)
+            .map_err(|e| format!("shipped: {e}"))?;
         replay_differential(&m, &[], &[], &result.program)
     })
 }
@@ -233,6 +239,84 @@ pub fn fold_differential(
         bounds,
         recording,
     )
+}
+
+/// Profile-fold oracle: a profiling run folded as it runs
+/// ([`ProfileFold`], for machines of at most `max_states` states) must be
+/// observationally the recording run — same result, steps and output
+/// tape — and what it folded must equal what selection would compute
+/// from the recorded trace: `trace.stats()` (table length included),
+/// `packed_site_streams`, and `profile_paths` over every branch's
+/// predecessor paths, enumerated here from a fresh analysis of each
+/// function.
+///
+/// # Errors
+///
+/// The first difference, described; a trap in either run.
+pub fn profile_differential(
+    module: &Module,
+    args: &[Value],
+    input: &[Value],
+    max_states: usize,
+) -> Result<(), String> {
+    let mut m = machine(module, input)?;
+    let recorded = m
+        .run("main", args)
+        .map_err(|e| format!("recording run: {e}"))?;
+    let recorded_output = m.output().to_vec();
+    let mut m = machine(module, input)?;
+    let folded = m
+        .run_with("main", args, &[], ProfileFold::new(module, max_states))
+        .map_err(|e| format!("folding run: {e}"))?;
+    if folded.result != recorded.result || folded.steps != recorded.steps {
+        return Err(format!(
+            "folding run returned {:?} in {} steps, recording run {:?} in {}",
+            folded.result, folded.steps, recorded.result, recorded.steps
+        ));
+    }
+    if m.output() != recorded_output {
+        return Err("folding run wrote a different output tape".to_string());
+    }
+    let (fold, trace) = (&folded.sink, &recorded.trace);
+    let stats = trace.stats();
+    if *fold.counts() != stats || fold.events() != trace.len() {
+        return Err("per-site counts differ from trace.stats()".to_string());
+    }
+    let streams = packed_site_streams(trace, &stats);
+    if let Some(site) = (0..streams.len().max(fold.streams().len()))
+        .find(|&i| fold.streams().get(i) != streams.get(i))
+    {
+        return Err(format!(
+            "s{site}: outcome stream differs from packed_site_streams ({} sites folded, {} recorded)",
+            fold.streams().len(),
+            streams.len()
+        ));
+    }
+    let mut candidates = HashMap::new();
+    for (_, func) in module.iter_functions() {
+        let cfg = Cfg::new(func);
+        let forest = LoopForest::new(&cfg, &DomTree::new(&cfg));
+        for info in ClassifiedBranches::analyze(func, &forest).branches() {
+            let paths = PredecessorPaths::enumerate(func, &cfg, info.block, max_states - 1);
+            candidates.insert(info.site, paths.paths);
+        }
+    }
+    let mut want: Vec<_> = profile_paths(trace, &candidates).into_iter().collect();
+    want.sort_by_key(|(site, _)| *site);
+    for (site, profile) in &want {
+        let Some(got) = fold.path_profile(*site) else {
+            return Err(format!("s{}: the fold has no path profile", site.0));
+        };
+        if got != profile {
+            return Err(format!(
+                "s{}: path profile differs from profile_paths (total {} vs {})",
+                site.0,
+                got.total(),
+                profile.total()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// A segmented recording run: its outcome, marks and output tape.

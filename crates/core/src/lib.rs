@@ -10,7 +10,8 @@
 //!    ([`loop_exit`]), and greedy correlated-path selection
 //!    ([`correlated`]);
 //! 3. **Per-branch strategy selection** capped at a state budget
-//!    ([`select::select_strategies`], Table 5);
+//!    ([`select::select_strategies`], Table 5), from a profiling run
+//!    folded as it runs ([`profile::ProfileFold`]);
 //! 4. **Greedy state addition** under the paper's size model
 //!    ([`greedy::greedy_curve`], Figures 6–13);
 //! 5. **Code replication**: loop replication with product state spaces and
@@ -33,6 +34,7 @@ pub mod loop_exit;
 pub mod machine;
 pub mod memo;
 pub mod pattern;
+pub mod profile;
 pub mod replicate;
 pub mod respec;
 pub mod select;
@@ -43,12 +45,13 @@ pub use intra_loop::{IntraLoopSearch, SearchResult};
 pub use joint::{allocate_joint_states, BranchCurve, JointAllocation};
 pub use machine::{MachineState, StateMachine};
 pub use pattern::{HistPattern, ParsePatternError};
+pub use profile::ProfileFold;
 pub use replicate::{
     apply_plan, check_equivalence, check_equivalence_counts, check_equivalence_outcomes,
     BranchMachine, ReplicatedProgram, ReplicationPlan, RunCounts,
 };
 pub use respec::{PatchKind, PatchOutcome, PatchRecord, Respec, RespecConfig};
 pub use select::{
-    select_strategies, select_strategies_classified, select_strategies_with_threads,
-    synthesize_profile_trace, Selection, StrategyChoice,
+    select_strategies, select_strategies_classified, select_strategies_folded,
+    select_strategies_with_threads, synthesize_profile_trace, Selection, StrategyChoice,
 };

@@ -7,17 +7,18 @@ use std::cell::LazyCell;
 use std::collections::{HashMap, HashSet};
 
 use brepl_analysis::{BiasEstimate, Classification, DirectionClass, StaticProfile};
-use brepl_cfg::{BranchClass, Cfg, ClassifiedBranches, DomTree, LoopForest, PredecessorPaths};
-use brepl_ir::{BranchId, Module};
+use brepl_cfg::BranchClass;
+use brepl_ir::{BlockId, BranchId, FuncId, Module};
 use brepl_predict::PatternTable;
-use brepl_trace::{packed_site_streams, PackedStream, SiteCounts, Trace, TraceEvent, TraceStats};
+use brepl_trace::{PackedStream, SiteCounts, Trace, TraceEvent, TraceStats};
 
-use crate::correlated::{profile_paths, PathProfile};
+use crate::correlated::PathProfile;
 use crate::engine;
 use crate::intra_loop::IntraLoopSearch;
 use crate::loop_exit::{exit_machine_menu, TABLE_BITS};
 use crate::machine::StateMachine;
 use crate::memo::{self, LoopSearchOutcome, SizeMenu};
+use crate::profile::ProfileFold;
 use crate::replicate::{BranchMachine, ReplicationPlan};
 
 /// Selection result for one branch.
@@ -128,10 +129,11 @@ pub fn select_strategies(module: &Module, trace: &Trace, max_states: usize) -> S
 /// `BranchId` order, so the `Selection` is **bit-identical** for every
 /// thread count. Two memo tiers make repeats cheap (see [`crate::memo`]):
 /// the whole selection is cached on `(module fingerprint, trace
-/// fingerprint, max_states)` — so a pipeline stage re-selecting over
-/// inputs a standalone select stage already solved is one hash lookup —
-/// and on a whole-selection miss, each branch's loop-machine search is
-/// cached on its class and outcome-stream fingerprint.
+/// fingerprint, max_states)` — so a bin re-selecting over inputs it
+/// already solved is one hash lookup — and on a whole-selection miss, the
+/// trace is folded through a [`ProfileFold`] and each branch's
+/// loop-machine search is cached on its class and outcome-stream
+/// fingerprint.
 ///
 /// # Panics
 ///
@@ -151,14 +153,8 @@ pub fn select_strategies_with_threads(
         trace.fingerprint(),
         max_states,
         || {
-            select_uncached(
-                module,
-                trace,
-                &trace.stats(),
-                max_states,
-                threads,
-                &HashSet::new(),
-            )
+            let fold = ProfileFold::of_trace(module, max_states, trace);
+            select_uncached(&fold, threads, &HashSet::new())
         },
     );
     (*cached).clone()
@@ -191,18 +187,30 @@ pub fn select_strategies_classified(
         (2..=10).contains(&max_states),
         "max_states must be in 2..=10"
     );
-    // One stats pass serves the fast path and the search, and a
-    // whole-selection hit without a classification needs none.
-    let stats = LazyCell::new(|| trace.stats());
-    let skip = classification.map_or_else(HashSet::new, |cls| fast_path_sites(&stats, cls));
-    let threads = engine::thread_count();
+    // One fold serves the fast path and the search, and a whole-selection
+    // hit without a classification needs none.
+    let fold = LazyCell::new(|| ProfileFold::of_trace(module, max_states, trace));
+    let skip = classification.map_or_else(HashSet::new, |cls| fast_path_sites(fold.counts(), cls));
     let cached = memo::lookup_or_compute_selection(
         module.fingerprint(),
         trace.fingerprint(),
         max_states,
-        || select_uncached(module, trace, &stats, max_states, threads, &skip),
+        || select_uncached(&fold, engine::thread_count(), &skip),
     );
     ((*cached).clone(), skip.len())
+}
+
+/// [`select_strategies_classified`] on a profiling run folded as it ran:
+/// the module and the state budget are the fold's. Bit-identical to the
+/// trace-taking form on the recorded run, without the whole-selection
+/// memo, which would need the trace's fingerprint.
+pub fn select_strategies_folded(
+    fold: &ProfileFold,
+    classification: Option<&Classification>,
+) -> (Selection, usize) {
+    let skip = classification.map_or_else(HashSet::new, |cls| fast_path_sites(fold.counts(), cls));
+    let selection = select_uncached(fold, engine::thread_count(), &skip);
+    (selection, skip.len())
 }
 
 /// Synthetic-trace event budget for estimate-driven planning. Large
@@ -291,71 +299,39 @@ fn fast_path_sites(stats: &TraceStats, cls: &Classification) -> HashSet<BranchId
 }
 
 /// The selection search proper — everything below the whole-selection
-/// memo. Pure in `(module, trace, max_states)`, with `stats` the trace's
-/// [`TraceStats`]; `threads` only changes wall-clock, and `skip` (sites
-/// with a unanimous profile, per [`fast_path_sites`]) only changes how the
-/// Profile choice for those sites is *reached*, never what it is.
-fn select_uncached(
-    module: &Module,
-    trace: &Trace,
-    stats: &TraceStats,
-    max_states: usize,
-    threads: usize,
-    skip: &HashSet<BranchId>,
-) -> Selection {
+/// memo. Pure in the fold (module, profile and `max_states`); `threads`
+/// only changes wall-clock, and `skip` (sites with a unanimous profile,
+/// per [`fast_path_sites`]) only changes how the Profile choice for those
+/// sites is *reached*, never what it is.
+fn select_uncached(fold: &ProfileFold, threads: usize, skip: &HashSet<BranchId>) -> Selection {
+    let max_states = fold.max_states();
     let search = IntraLoopSearch::new(max_states, TABLE_BITS);
-
-    // Packed per-site outcome streams, built once for the whole selection:
-    // each site's pattern table is built from its stream, and machine
-    // candidates are scored on it word-at-a-time.
-    let outcomes = packed_site_streams(trace, stats);
+    let stats = fold.counts();
+    // Each site's pattern table is built from its outcome stream, and
+    // machine candidates are scored on it word-at-a-time.
+    let outcomes = fold.streams();
     let no_outcomes = PackedStream::new();
 
-    // Candidate decision paths for every executed branch ("a maximum path
-    // length of n for an n state machine"), plus loop identity for the
-    // joint rebalancing below.
-    let mut candidates: HashMap<BranchId, Vec<Vec<brepl_cfg::PathStep>>> = HashMap::new();
-    let mut class_of: HashMap<BranchId, BranchClass> = HashMap::new();
-    let mut loop_of: HashMap<BranchId, (brepl_ir::FuncId, brepl_ir::BlockId)> = HashMap::new();
-    for (fid, func) in module.iter_functions() {
-        let cfg = Cfg::new(func);
-        let dom = DomTree::new(&cfg);
-        let forest = LoopForest::new(&cfg, &dom);
-        let classes = ClassifiedBranches::analyze(func, &forest);
-        for info in classes.branches() {
-            if stats.site(info.site).total() == 0 {
-                continue;
-            }
-            class_of.insert(info.site, info.class);
-            if skip.contains(&info.site) {
-                // Fast path: no candidate paths, no loop membership — the
-                // site's choice is synthesized below without a search, and
-                // a Profile choice never enters the joint rebalancing.
-                continue;
-            }
-            if let Some(l) = info.innermost_loop {
-                loop_of.insert(info.site, (fid, forest.get(l).header));
-            }
-            let paths =
-                PredecessorPaths::enumerate(func, &cfg, info.block, max_states.saturating_sub(1));
-            candidates.insert(info.site, paths.paths);
-        }
-    }
-    let path_profiles = profile_paths(trace, &candidates);
-
-    let mut sites: Vec<BranchId> = class_of.keys().copied().collect();
-    sites.sort();
+    // The executed branches of the module, in site order.
+    let sites: Vec<(BranchId, BranchClass)> = (0..stats.site_count())
+        .map(BranchId::from_index)
+        .filter(|&site| stats.site(site).total() > 0)
+        .filter_map(|site| fold.shape(site).map(|shape| (site, shape.class)))
+        .collect();
 
     // Fan out: one pure search per branch over shared read-only state.
     let per_site: Vec<(StrategyChoice, Option<SizeMenu>)> =
-        engine::par_map_with(threads, &sites, |&site| {
+        engine::par_map_with(threads, &sites, |&(site, class)| {
             if skip.contains(&site) {
+                // Fast path: the site's choice is synthesized without a
+                // search, and a Profile choice never enters the joint
+                // rebalancing.
                 let counts = stats.site(site);
                 debug_assert_eq!(counts.minority_count(), 0, "fast path needs unanimity");
                 return (
                     StrategyChoice {
                         site,
-                        class: class_of[&site],
+                        class,
                         chosen: None,
                         executions: counts.total(),
                         profile_misses: counts.minority_count(),
@@ -366,10 +342,10 @@ fn select_uncached(
             }
             search_site(
                 site,
-                class_of[&site],
+                class,
                 stats.site(site),
                 outcomes.get(site.index()).unwrap_or(&no_outcomes),
-                path_profiles.get(&site),
+                fold.path_profile(site),
                 &search,
                 max_states,
             )
@@ -385,11 +361,13 @@ fn select_uncached(
         choices.push(choice);
     }
 
-    rebalance_same_loop_machines(&mut choices, &menus, &loop_of);
+    rebalance_same_loop_machines(&mut choices, &menus, |site| {
+        fold.shape(site).and_then(|shape| shape.innermost_loop)
+    });
 
     Selection {
         choices,
-        total_events: trace.len() as u64,
+        total_events: stats.total_events(),
     }
 }
 
@@ -532,18 +510,18 @@ fn loop_search(
 fn rebalance_same_loop_machines(
     choices: &mut [StrategyChoice],
     menus: &HashMap<BranchId, Vec<Option<(StateMachine, u64)>>>,
-    loop_of: &HashMap<BranchId, (brepl_ir::FuncId, brepl_ir::BlockId)>,
+    loop_of: impl Fn(BranchId) -> Option<(FuncId, BlockId)>,
 ) {
     use crate::joint::{allocate_joint_states, BranchCurve};
     use crate::replicate::MAX_PRODUCT_STATES;
 
     // Group machine-winning choices by loop.
-    let mut groups: HashMap<(brepl_ir::FuncId, brepl_ir::BlockId), Vec<usize>> = HashMap::new();
+    let mut groups: HashMap<(FuncId, BlockId), Vec<usize>> = HashMap::new();
     for (idx, c) in choices.iter().enumerate() {
         if !matches!(c.chosen, Some(BranchMachine::Loop(_))) {
             continue;
         }
-        let Some(&key) = loop_of.get(&c.site) else {
+        let Some(key) = loop_of(c.site) else {
             continue;
         };
         groups.entry(key).or_default().push(idx);
@@ -852,13 +830,18 @@ mod tests {
         assert!(skip.contains(&BranchId(1)));
 
         // Call below the memo so both paths genuinely run the search.
-        let plain = select_uncached(&m, &t, &stats, 4, 1, &HashSet::new());
-        let fast = select_uncached(&m, &t, &stats, 4, 1, &skip);
+        let fold = ProfileFold::of_trace(&m, 4, &t);
+        let plain = select_uncached(&fold, 1, &HashSet::new());
+        let fast = select_uncached(&fold, 1, &skip);
         assert_eq!(plain, fast, "fast path must be bit-identical");
 
         let (via_api, skips) = select_strategies_classified(&m, &t, 4, Some(&cls));
         assert_eq!(via_api, plain);
         assert_eq!(skips, 1);
+        assert_eq!(
+            select_strategies_folded(&fold, Some(&cls)),
+            (plain.clone(), 1)
+        );
         // Without a classification the API degrades to plain selection.
         let (no_cls, no_skips) = select_strategies_classified(&m, &t, 4, None);
         assert_eq!(no_cls, plain);

@@ -39,6 +39,7 @@ impl PackedStream {
     }
 
     /// Appends one outcome.
+    #[inline]
     pub fn push(&mut self, taken: bool) {
         let bit = self.len % 64;
         if bit == 0 {

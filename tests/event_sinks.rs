@@ -11,14 +11,22 @@
 //! original site as they run (`SegmentFold`), so a folding run must be
 //! the recording run sliced at its marks: `fuzz::fold_differential`, on
 //! every drift scenario and on shipped random loop CFGs.
+//!
+//! The profiling run folds its counts, outcome streams and path profiles
+//! as it runs (`ProfileFold`), so it must equal what selection computes
+//! from the recorded trace (`fuzz::profile_differential`), and selection
+//! from the fold must equal selection from the trace.
 
 mod common;
 
+use brepl::core::{select_strategies_classified, select_strategies_folded, ProfileFold};
 use brepl::pipeline::{run_pipeline, PipelineConfig};
+use brepl::sim::{Machine, RunConfig};
 use brepl::workloads::synth::random_loop_module;
-use brepl::workloads::{all_workloads, Scale};
-use brepl_bench::fuzz::{fold_differential, sink_differential};
-use brepl_ir::BranchId;
+use brepl::workloads::{all_workloads, workload_by_name, Scale};
+use brepl_analysis::classify_module;
+use brepl_bench::fuzz::{fold_differential, profile_differential, sink_differential};
+use brepl_ir::{BranchId, Module, Value};
 use brepl_predict::StaticPrediction;
 
 #[test]
@@ -106,5 +114,60 @@ fn segment_fold_equals_sliced_trace_on_shipped_random_cfgs() {
             &[0, 0, 1],
         )
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+/// The selection budget the pipeline plans with by default.
+const MAX_STATES: usize = 4;
+
+/// Selection from a folding run of `module` equals selection from the
+/// recorded trace of the same run, fast path included.
+fn assert_folded_selection_equals_recorded(
+    module: &Module,
+    args: &[Value],
+    input: &[Value],
+    what: &str,
+) {
+    let machine = || {
+        let mut m = Machine::new(module, RunConfig::default()).expect("machine");
+        m.set_input(input.to_vec());
+        m
+    };
+    let trace = machine().run("main", args).expect("recording run").trace;
+    let fold = machine()
+        .run_with("main", args, &[], ProfileFold::new(module, MAX_STATES))
+        .expect("folding run")
+        .sink;
+    let cls = classify_module(module);
+    assert_eq!(
+        select_strategies_folded(&fold, Some(&cls)),
+        select_strategies_classified(module, &trace, MAX_STATES, Some(&cls)),
+        "{what}: selection from the fold differs from selection from the trace"
+    );
+}
+
+#[test]
+fn profile_fold_equals_recording_run_on_every_workload() {
+    let mut workloads = all_workloads(Scale::Small);
+    workloads.push(workload_by_name("kmp", Scale::Small).expect("kmp exists"));
+    for w in workloads {
+        profile_differential(&w.module, &w.args, &w.input, MAX_STATES)
+            .unwrap_or_else(|e| panic!("{} original: {e}", w.name));
+        let shipped = run_pipeline(&w.module, &w.args, &w.input, PipelineConfig::default())
+            .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", w.name))
+            .program;
+        profile_differential(&shipped.module, &w.args, &w.input, MAX_STATES)
+            .unwrap_or_else(|e| panic!("{} shipped: {e}", w.name));
+        assert_folded_selection_equals_recorded(&w.module, &w.args, &w.input, w.name);
+    }
+}
+
+#[test]
+fn profile_fold_equals_recording_run_on_random_cfgs() {
+    for seed in 0..40u64 {
+        let m = random_loop_module(seed, (seed % 6) as usize, 15 + (seed % 5) as i64 * 20);
+        profile_differential(&m, &[], &[], MAX_STATES)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_folded_selection_equals_recorded(&m, &[], &[], &format!("seed {seed}"));
     }
 }
