@@ -15,11 +15,13 @@
 //!
 //! * the **per-branch** loop-machine search, keyed on the branch's class
 //!   and outcome-stream fingerprint ([`lookup_or_compute`]); and
-//! * the **whole-module** strategy selection, keyed on canonical module
-//!   and trace fingerprints ([`lookup_or_compute_selection`]) — the
-//!   pipeline re-selects over the exact `(module, trace, budget)` triple
-//!   that a standalone `select` stage already solved, so benches and
-//!   multi-stage drivers pay for selection once per distinct input.
+//! * the **whole-module** strategy selection of the trace-taking entry
+//!   points, keyed on canonical module and trace fingerprints
+//!   ([`lookup_or_compute_selection`]) — bins that re-select over the
+//!   exact `(module, trace, budget)` triple they already solved pay for
+//!   selection once per distinct input. The pipeline selects from its
+//!   folded profiling run, which has no trace to fingerprint, and does
+//!   not use this tier.
 //!
 //! Determinism: the cached value for a key is exactly what the search
 //! would recompute, so cache hits cannot change results — only wall-clock.
@@ -161,7 +163,8 @@ pub fn lookup_or_compute(
 /// Looks up a whole-module selection, computing and caching it on a miss.
 ///
 /// Keyed on `(module fingerprint, trace fingerprint, max_states)`; see
-/// [`crate::select::select_strategies_with_threads`], the only caller.
+/// [`crate::select::select_strategies_with_threads`] and
+/// [`crate::select::select_strategies_classified`], its callers.
 /// `compute` must be the selection search itself — the memo returns the
 /// cached [`Selection`] verbatim on a repeat key, which is exactly what
 /// the search would recompute because selection is a pure function of the

@@ -2,14 +2,17 @@
 //!
 //! The simulator hands every branch event to one sink, chosen per run.
 //! A [`Trace`] records the events in order, for consumers that read the
-//! sequence (pattern tables, drift segments); a [`TraceStats`] only counts
-//! them per site, for consumers that read nothing else (misprediction
-//! scoring, the dynamic backstop's histograms). Counting into a
-//! `TraceStats` gives exactly `trace.stats()` of the recorded run, in
-//! memory proportional to the number of sites instead of events. A
+//! sequence itself (the trace codec, the chaos engine's trace forges); a
+//! [`TraceStats`] only counts them per site, for consumers that read
+//! nothing else (misprediction scoring, the dynamic backstop's
+//! histograms). Counting into a `TraceStats` gives exactly
+//! `trace.stats()` of the recorded run, in memory proportional to the
+//! number of sites instead of events. A
 //! [`SegmentFold`](crate::SegmentFold) splits the events by segment and
 //! by original site as they arrive, for the drift observer, in a few
-//! bits per event.
+//! bits per event; `brepl_core::ProfileFold` folds a profiling run into
+//! the counts, per-site streams and path profiles that selection reads,
+//! so the pipeline records no trace.
 
 use brepl_ir::BranchId;
 
