@@ -20,6 +20,7 @@ use brepl_trace::EventSink;
 
 use crate::arith::{eval_bin, eval_cmp};
 use crate::error::RunError;
+use crate::machine::OutputCheck;
 
 /// Packed-operand flag: the low 31 bits index the constant pool instead
 /// of the current frame's registers.
@@ -511,29 +512,98 @@ impl ExecModule {
 /// Mutable machine state borrowed by [`run`], split out field by field so
 /// the op arena can stay immutably borrowed alongside it, plus the run's
 /// event sink.
-pub(crate) struct State<'a, S> {
+pub(crate) struct State<'a, 'i, S> {
     pub heap: &'a mut Vec<Value>,
     /// Logical heap size in words; the physical vector grows lazily
     /// towards it on store.
     pub heap_limit: usize,
     pub brk: &'a mut usize,
-    pub input: &'a [Value],
-    pub input_pos: &'a mut usize,
-    pub output: &'a mut Vec<Value>,
+    pub input: &'a mut Reader<'i>,
+    pub output: Output<'a>,
     pub prng: &'a mut u64,
-    /// Ascending input positions at which a new input segment begins.
-    /// When the `in()` intrinsic is about to consume the element at
-    /// `seg_bounds[k]`, the number of branch events so far is recorded as
-    /// `seg_marks[k]` — that is where drift injected at the segment
-    /// boundary first becomes visible. Empty for ordinary runs; bounds
-    /// never reached are left unmarked (the caller pads them).
-    pub seg_bounds: &'a [usize],
-    /// Receives one event-count mark per crossed segment bound; the sink
-    /// gets an [`EventSink::mark`] call with each.
+    /// Receives one event-count mark per slice boundary the input reader
+    /// crosses; the sink gets an [`EventSink::mark`] call with each.
     pub seg_marks: &'a mut Vec<usize>,
     /// Takes every executed conditional branch; moved into the loop, so
     /// it lives in registers like any local, and handed back at the end.
     pub sink: S,
+}
+
+/// The input tape the `in()` intrinsic reads, as slices read in order.
+///
+/// The first read past a slice's end moves on to the next slice and marks
+/// a segment bound: the number of branch events so far, which is where
+/// drift injected at the bound first becomes visible. Past the last slice
+/// every read yields the `-1` end-of-input sentinel. A one-slice tape
+/// never marks.
+pub(crate) struct Reader<'a> {
+    slices: &'a [&'a [Value]],
+    /// Index of the slice being read.
+    slice: usize,
+    /// `slices[slice]`.
+    current: &'a [Value],
+    /// Position of the next value in `current`. A reader may start past
+    /// its end; the excess carries over into the following slices.
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader `pos` values into the tape `slices`, which holds at least
+    /// one slice.
+    pub fn new(slices: &'a [&'a [Value]], pos: usize) -> Self {
+        Reader {
+            slices,
+            slice: 0,
+            current: slices[0],
+            pos,
+        }
+    }
+
+    /// Values read so far, counted from the start of the tape.
+    pub fn position(&self) -> usize {
+        let before: usize = self.slices[..self.slice].iter().map(|s| s.len()).sum();
+        before + self.pos
+    }
+
+    #[inline(always)]
+    fn read<S: EventSink>(&mut self, marks: &mut Vec<usize>, sink: &mut S) -> Value {
+        if self.pos < self.current.len() {
+            let v = self.current[self.pos];
+            self.pos += 1;
+            v
+        } else {
+            self.read_on(marks, sink)
+        }
+    }
+
+    /// [`Reader::read`] once the current slice is used up: crosses into
+    /// the next slice that holds the position, marking each boundary.
+    #[cold]
+    #[inline(never)]
+    fn read_on<S: EventSink>(&mut self, marks: &mut Vec<usize>, sink: &mut S) -> Value {
+        while self.pos >= self.current.len() {
+            let Some(&next) = self.slices.get(self.slice + 1) else {
+                return Value::Int(-1);
+            };
+            marks.push(sink.events());
+            sink.mark();
+            self.pos -= self.current.len();
+            self.slice += 1;
+            self.current = next;
+        }
+        let v = self.current[self.pos];
+        self.pos += 1;
+        v
+    }
+}
+
+/// Where the `out()` intrinsic's values go.
+pub(crate) enum Output<'a> {
+    /// Appended to the machine's output tape.
+    Tape(&'a mut Vec<Value>),
+    /// Compared with the expected tape at the same position; only the
+    /// summary is kept.
+    Check(&'a [Value], &'a mut OutputCheck),
 }
 
 struct Frame {
@@ -659,7 +729,7 @@ fn br<S: EventSink>(regs: &[Value], consts: &[Value], base: usize, sink: &mut S,
 /// counting run pays no dispatch for not recording.
 pub(crate) fn run<S: EventSink>(
     exec: &ExecModule,
-    state: State<'_, S>,
+    state: State<'_, '_, S>,
     regs: &mut Vec<Value>,
     fid: usize,
     args: &[Value],
@@ -691,10 +761,8 @@ pub(crate) fn run<S: EventSink>(
         heap_limit,
         brk,
         input,
-        input_pos,
-        output,
+        mut output,
         prng,
-        seg_bounds,
         seg_marks,
         mut sink,
     } = state;
@@ -785,30 +853,21 @@ pub(crate) fn run<S: EventSink>(
             }
             Op::Out { arg, dst } => {
                 let v = rd(regs, consts, base, arg);
-                output.push(v);
+                match &mut output {
+                    Output::Tape(tape) => tape.push(v),
+                    Output::Check(expected, check) => check.write(expected, v),
+                }
                 if dst != NONE {
                     regs[base + dst as usize] = Value::Int(0);
                 }
                 pc += 1;
             }
             Op::In { dst } => {
-                // Segment bookkeeping is off the hot path for ordinary
-                // runs: `seg_bounds` is empty and the comparison fails on
-                // the length check alone. Steps, fuel and the trace are
-                // untouched, so segmented runs stay bit-identical.
-                while seg_marks.len() < seg_bounds.len()
-                    && *input_pos >= seg_bounds[seg_marks.len()]
-                {
-                    seg_marks.push(sink.events());
-                    sink.mark();
-                }
-                let v = if *input_pos < input.len() {
-                    let v = input[*input_pos];
-                    *input_pos += 1;
-                    v
-                } else {
-                    Value::Int(-1)
-                };
+                // Crossing into the next input slice (a segment bound) is
+                // off the hot path: it happens only once the current slice
+                // is used up. Steps, fuel and the trace are untouched, so
+                // segmented runs stay bit-identical.
+                let v = input.read(seg_marks, &mut sink);
                 if dst != NONE {
                     regs[base + dst as usize] = v;
                 }

@@ -57,5 +57,5 @@ mod machine;
 mod reference;
 
 pub use error::RunError;
-pub use machine::{Machine, Outcome, Run, RunConfig};
+pub use machine::{Machine, Outcome, OutputCheck, Run, RunConfig};
 pub use reference::ReferenceMachine;

@@ -6,7 +6,7 @@ use brepl_ir::{Module, Value};
 use brepl_trace::{EventSink, Trace};
 
 use crate::error::RunError;
-use crate::exec::{self, ExecModule};
+use crate::exec::{self, ExecModule, Reader};
 
 /// Execution limits and seeds.
 #[derive(Clone, Copy, Debug)]
@@ -54,8 +54,10 @@ pub struct Run<S> {
     pub sink: S,
     /// Instructions executed.
     pub steps: u64,
-    /// One mark per segment bound passed to [`Machine::run_with`] (none
-    /// for an unsegmented run); see [`Machine::run_segmented`].
+    /// One mark per segment bound: each bound passed to
+    /// [`Machine::run_with`], or each segment's end for input borrowed as
+    /// segments ([`Machine::borrow_segments`]); none for an unsegmented
+    /// run. See [`Machine::run_segmented`].
     pub marks: Vec<usize>,
 }
 
@@ -69,6 +71,53 @@ impl From<Run<Trace>> for Outcome {
     }
 }
 
+/// What an output-checking run kept of its output
+/// ([`Machine::check_output`]): how many values it wrote, and whether any
+/// of them differed from the expected tape at its position or fell past
+/// its end.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OutputCheck {
+    /// Values the run wrote.
+    pub written: usize,
+    /// Whether a written value differed from the expected one.
+    pub diverged: bool,
+}
+
+impl OutputCheck {
+    /// Whether the run wrote exactly `expected`, the tape it was checked
+    /// against: the same values in the same order, as `output == expected`
+    /// would find.
+    pub fn matches(&self, expected: &[Value]) -> bool {
+        !self.diverged && self.written == expected.len()
+    }
+
+    /// Takes the next written value.
+    #[inline]
+    pub(crate) fn write(&mut self, expected: &[Value], v: Value) {
+        if expected.get(self.written) != Some(&v) {
+            self.diverged = true;
+        }
+        self.written += 1;
+    }
+}
+
+/// The input the `in()` intrinsic reads.
+enum Input<'m> {
+    /// One tape, owned or borrowed.
+    Tape(Cow<'m, [Value]>),
+    /// The caller's segments, read in place, then an empty slice whose
+    /// crossing marks the last segment's end.
+    Segments(Vec<&'m [Value]>),
+}
+
+/// Where the `out()` intrinsic's values go.
+enum Output<'m> {
+    /// The output tape.
+    Tape(Vec<Value>),
+    /// Checked against a borrowed expected tape as they are written.
+    Check(&'m [Value], OutputCheck),
+}
+
 /// An interpreter instance bound to one module.
 ///
 /// Construction pre-decodes the module into a flat executable form (see
@@ -78,18 +127,20 @@ impl From<Run<Trace>> for Outcome {
 /// beyond the committed end yields `Int(0)`, exactly what a zero-filled
 /// heap would hold there.
 ///
-/// The machine owns the heap and the output tape, and owns or borrows
-/// the input tape; a fresh machine gives a fresh program state, so two
-/// runs with the same inputs are bit-identical — profiles are
-/// deterministic.
+/// The machine owns the heap. It owns or borrows the input tape, or
+/// borrows it as the caller's segments. It writes the output tape, or
+/// only checks each value against a borrowed expected tape. A fresh
+/// machine gives a fresh program state, so two runs with the same inputs
+/// are bit-identical — profiles are deterministic.
 pub struct Machine<'m> {
     module: &'m Module,
     exec: ExecModule,
     heap: Vec<Value>,
     brk: usize,
-    input: Cow<'m, [Value]>,
+    input: Input<'m>,
+    /// Input values read so far, counted from the start of the tape.
     input_pos: usize,
-    output: Vec<Value>,
+    output: Output<'m>,
     prng: u64,
     config: RunConfig,
     /// Register stack shared by all call frames, reused across runs.
@@ -115,9 +166,9 @@ impl<'m> Machine<'m> {
             exec: ExecModule::decode(module),
             heap: Vec::new(),
             brk: module.globals,
-            input: Cow::Borrowed(&[]),
+            input: Input::Tape(Cow::Borrowed(&[])),
             input_pos: 0,
-            output: Vec::new(),
+            output: Output::Tape(Vec::new()),
             prng: config.seed | 1,
             config,
             regs: Vec::new(),
@@ -126,31 +177,59 @@ impl<'m> Machine<'m> {
 
     /// Replaces the input tape consumed by the `in()` intrinsic.
     pub fn set_input(&mut self, input: Vec<Value>) {
-        self.input = Cow::Owned(input);
+        self.input = Input::Tape(Cow::Owned(input));
         self.input_pos = 0;
     }
 
     /// Replaces the input tape with a borrowed one: [`Self::set_input`]
     /// without a copy of the tape.
     pub fn borrow_input(&mut self, input: &'m [Value]) {
-        self.input = Cow::Borrowed(input);
+        self.input = Input::Tape(Cow::Borrowed(input));
         self.input_pos = 0;
     }
 
-    /// Reserves room for `n` more output values, so that a run whose
-    /// output length is known ahead does not grow its tape by doubling.
-    pub fn reserve_output(&mut self, n: usize) {
-        self.output.reserve_exact(n);
+    /// Replaces the input tape with the concatenation of `segments`, read
+    /// in place. Every run then marks one bound per segment, at its end:
+    /// the marks are those of [`Self::run_segmented`] on the concatenated
+    /// tape with the segments' cumulative lengths as bounds.
+    pub fn borrow_segments(&mut self, segments: &'m [Vec<Value>]) {
+        let slices = segments.iter().map(Vec::as_slice).chain([&[][..]]);
+        self.input = Input::Segments(slices.collect());
+        self.input_pos = 0;
     }
 
-    /// The values written by the `out()` intrinsic so far.
+    /// Switches the `out()` intrinsic from writing the output tape to
+    /// comparing each value with `expected` at the same position. The
+    /// machine keeps only the summary ([`Self::output_check`]), and
+    /// [`Self::output`] stays empty; the runs themselves do not change.
+    pub fn check_output(&mut self, expected: &'m [Value]) {
+        self.output = Output::Check(expected, OutputCheck::default());
+    }
+
+    /// The summary of the values written since [`Self::check_output`];
+    /// `None` for a machine that writes its output tape.
+    pub fn output_check(&self) -> Option<OutputCheck> {
+        match self.output {
+            Output::Tape(_) => None,
+            Output::Check(_, check) => Some(check),
+        }
+    }
+
+    /// The values written by the `out()` intrinsic so far (none for a
+    /// machine that checks its output instead).
     pub fn output(&self) -> &[Value] {
-        &self.output
+        match &self.output {
+            Output::Tape(tape) => tape,
+            Output::Check(..) => &[],
+        }
     }
 
     /// Consumes the machine, moving its output tape out.
     pub fn into_output(self) -> Vec<Value> {
-        self.output
+        match self.output {
+            Output::Tape(tape) => tape,
+            Output::Check(..) => Vec::new(),
+        }
     }
 
     /// Runs `entry(args)` to completion, recording every conditional branch.
@@ -168,19 +247,26 @@ impl<'m> Machine<'m> {
     /// where each input-segment boundary falls in the branch trace.
     ///
     /// `bounds` are ascending input positions at which a new segment
-    /// begins; the returned marks give, for each bound, the trace length
-    /// at the moment the `in()` intrinsic first reached that position.
-    /// `marks[k-1]..marks[k]` (with the final bound closed by the total
-    /// trace length) is therefore exactly the slice of branch events
-    /// driven by segment `k`'s input — the unit the re-specialization
-    /// layer observes. Bounds the program never consumed up to are padded
-    /// with the final trace length, so the result always has one mark per
-    /// bound. The execution itself (steps, fuel, trace, output) is
-    /// bit-identical to [`Machine::run`] on the same input.
+    /// begins; they split the tape into slices, and the returned marks
+    /// give, for each bound, the trace length at the moment the `in()`
+    /// intrinsic first read past the slice it ends — the first read of
+    /// the value at the bound, or, for a bound at the tape's end, the first
+    /// read of the `-1` end-of-input sentinel. `marks[k-1]..marks[k]`
+    /// (with the final bound closed by the total trace length) is
+    /// therefore exactly the slice of branch events driven by segment
+    /// `k`'s input — the unit the re-specialization layer observes. Bounds
+    /// the program never read up to, and bounds past the tape's end, are
+    /// padded with the final trace length, so the result always has one
+    /// mark per bound. The execution itself (steps, fuel, trace, output)
+    /// is bit-identical to [`Machine::run`] on the same input.
     ///
     /// # Errors
     ///
     /// Same error conditions as [`Machine::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Machine::run_with`].
     pub fn run_segmented(
         &mut self,
         entry: &str,
@@ -198,14 +284,20 @@ impl<'m> Machine<'m> {
     /// `trace.stats()` of the recorded run). The execution — result,
     /// steps, fuel, output — does not depend on the sink.
     ///
-    /// `bounds` are segment bounds as in [`Machine::run_segmented`]; the
-    /// marks count the events the sink had taken, and come back in
-    /// [`Run::marks`], padded to one per bound. Pass `&[]` for an
-    /// unsegmented run.
+    /// `bounds` split a one-tape input into segments as in
+    /// [`Machine::run_segmented`]; input borrowed as segments
+    /// ([`Machine::borrow_segments`]) is split already, one bound per
+    /// segment. Either way, each mark counts the events the sink had
+    /// taken, and the marks come back in [`Run::marks`], padded to one
+    /// per bound. Pass `&[]` for an unsegmented run.
     ///
     /// # Errors
     ///
     /// Same error conditions as [`Machine::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` is not empty for input borrowed as segments.
     pub fn run_with<S: EventSink>(
         &mut self,
         entry: &str,
@@ -217,20 +309,40 @@ impl<'m> Machine<'m> {
             .module
             .function_by_name(entry)
             .ok_or_else(|| RunError::UnknownFunction(entry.to_string()))?;
-        let mut marks = Vec::with_capacity(bounds.len());
+        let (one, split);
+        let (slices, bounds): (&[&[Value]], usize) = match &self.input {
+            Input::Tape(tape) if bounds.is_empty() => {
+                one = [&tape[..]];
+                (&one, 0)
+            }
+            Input::Tape(tape) => {
+                split = split_at(tape, bounds);
+                (&split, bounds.len())
+            }
+            Input::Segments(segments) => {
+                assert!(
+                    bounds.is_empty(),
+                    "input borrowed as segments is split already"
+                );
+                (segments, segments.len() - 1)
+            }
+        };
+        let mut input = Reader::new(slices, self.input_pos);
+        let mut marks = Vec::with_capacity(bounds);
         let state = exec::State {
             heap: &mut self.heap,
             heap_limit: self.config.heap_words,
             brk: &mut self.brk,
-            input: &self.input,
-            input_pos: &mut self.input_pos,
-            output: &mut self.output,
+            input: &mut input,
+            output: match &mut self.output {
+                Output::Tape(tape) => exec::Output::Tape(tape),
+                Output::Check(expected, check) => exec::Output::Check(expected, check),
+            },
             prng: &mut self.prng,
-            seg_bounds: bounds,
             seg_marks: &mut marks,
             sink,
         };
-        let (result, sink, steps) = exec::run(
+        let ran = exec::run(
             &self.exec,
             state,
             &mut self.regs,
@@ -238,8 +350,10 @@ impl<'m> Machine<'m> {
             args,
             self.config.fuel,
             self.config.max_call_depth,
-        )?;
-        marks.resize(bounds.len(), sink.events());
+        );
+        self.input_pos = input.position();
+        let (result, sink, steps) = ran?;
+        marks.resize(bounds, sink.events());
         Ok(Run {
             result,
             sink,
@@ -247,6 +361,22 @@ impl<'m> Machine<'m> {
             marks,
         })
     }
+}
+
+/// `tape` split at the ascending `bounds` that fall on it: one slice up to
+/// each, then the rest of the tape. A bound past the tape's end splits
+/// nothing, and neither does any bound after it, so their marks are never
+/// reached.
+fn split_at<'t>(tape: &'t [Value], bounds: &[usize]) -> Vec<&'t [Value]> {
+    let mut slices = Vec::with_capacity(bounds.len() + 1);
+    let mut start = 0;
+    for &bound in bounds.iter().take_while(|&&b| b <= tape.len()) {
+        let end = bound.max(start);
+        slices.push(&tape[start..end]);
+        start = end;
+    }
+    slices.push(&tape[start..]);
+    slices
 }
 
 #[cfg(test)]
@@ -584,5 +714,98 @@ mod tests {
         let (got, marks) = seg.run_segmented("main", &[], &[0, 4, 100]).unwrap();
         assert_eq!(marks, vec![1, 9, got.trace.len()]);
         assert_eq!(got.trace.len(), 21);
+    }
+
+    /// Writes its input tape back, value by value, until the end-of-input
+    /// sentinel (which it reads, as the drift programs do).
+    fn echo() -> Module {
+        simple_main(|b| {
+            let head = b.new_block();
+            let body = b.new_block();
+            let exit = b.new_block();
+            b.jmp(head);
+            b.switch_to(head);
+            let v = b.input();
+            let end = b.eq(v.into(), Operand::imm(-1));
+            b.br(end, exit, body);
+            b.switch_to(body);
+            b.out(v.into());
+            b.jmp(head);
+            b.switch_to(exit);
+            b.ret(None);
+        })
+    }
+
+    fn ints(values: &[i64]) -> Vec<Value> {
+        values.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    #[test]
+    fn output_check_matches_exactly_when_the_tape_would() {
+        let m = echo();
+        let input = ints(&[4, 5, 6, 7]);
+        let mut writing = Machine::new(&m, RunConfig::default()).unwrap();
+        writing.set_input(input.clone());
+        let want = writing.run("main", &[]).unwrap();
+        let written = writing.into_output();
+        assert_eq!(written, input);
+        for (what, expected) in [
+            ("an equal tape", ints(&[4, 5, 6, 7])),
+            ("a divergence at the first value", ints(&[9, 5, 6, 7])),
+            ("a divergence at a middle value", ints(&[4, 5, 9, 7])),
+            ("a run that writes fewer values", ints(&[4, 5, 6, 7, 8])),
+            ("a run that writes more values", ints(&[4, 5, 6])),
+            ("an empty tape", Vec::new()),
+        ] {
+            let mut checking = Machine::new(&m, RunConfig::default()).unwrap();
+            checking.set_input(input.clone());
+            checking.check_output(&expected);
+            let got = checking.run("main", &[]).unwrap();
+            assert_eq!(got, want, "{what}: the run itself does not change");
+            assert!(checking.output().is_empty(), "{what}: no tape is written");
+            let check = checking.output_check().expect("the machine checks");
+            assert_eq!(check.written, written.len(), "{what}");
+            assert_eq!(check.matches(&expected), written == expected, "{what}");
+        }
+        let fresh = Machine::new(&m, RunConfig::default()).unwrap();
+        assert_eq!(
+            fresh.output_check(),
+            None,
+            "a fresh machine writes its tape"
+        );
+    }
+
+    #[test]
+    fn borrowed_segments_mark_as_bounds_at_their_ends() {
+        let m = echo();
+        for segments in [
+            vec![ints(&[1, 2]), ints(&[3]), ints(&[4, 5])],
+            // An empty first segment marks at the first read.
+            vec![Vec::new(), ints(&[1, 2]), ints(&[3])],
+            // An empty middle segment marks with the one before it.
+            vec![ints(&[1, 2]), Vec::new(), ints(&[3])],
+            vec![Vec::new(), Vec::new()],
+        ] {
+            let tape = segments.concat();
+            let bounds: Vec<usize> = segments
+                .iter()
+                .scan(0, |end, s| {
+                    *end += s.len();
+                    Some(*end)
+                })
+                .collect();
+            let mut split = Machine::new(&m, RunConfig::default()).unwrap();
+            split.set_input(tape);
+            let (want, want_marks) = split.run_segmented("main", &[], &bounds).unwrap();
+            let mut borrowed = Machine::new(&m, RunConfig::default()).unwrap();
+            borrowed.borrow_segments(&segments);
+            let run = borrowed.run_with("main", &[], &[], Trace::new()).unwrap();
+            assert_eq!(run.marks, want_marks, "{segments:?}");
+            assert_eq!(Outcome::from(run), want, "{segments:?}");
+            assert_eq!(borrowed.output(), split.output(), "{segments:?}");
+            // The last segment's end is marked at the sentinel read, one
+            // event before the end of the trace.
+            assert_eq!(want_marks.last(), Some(&(want.trace.len() - 1)));
+        }
     }
 }

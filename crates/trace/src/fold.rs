@@ -123,7 +123,7 @@ impl Segment<'_> {
 }
 
 /// Where a run site's events go.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Route {
     orig: u32,
     ordinal: u32,
@@ -136,7 +136,7 @@ struct Route {
 /// Events after the last mark (after the tape is exhausted, say) belong
 /// to the last segment. Also counts the whole run per site, as a
 /// [`TraceStats`] sink would.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SegmentFold {
     /// Run site → its original site and replica ordinal.
     route: Vec<Route>,
