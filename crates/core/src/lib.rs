@@ -48,7 +48,7 @@ pub use pattern::{HistPattern, ParsePatternError};
 pub use profile::ProfileFold;
 pub use replicate::{
     apply_plan, check_equivalence, check_equivalence_counts, check_equivalence_outcomes,
-    BranchMachine, ReplicatedProgram, ReplicationPlan, RunCounts,
+    BranchMachine, ReplicatedProgram, ReplicationPlan, RunCounts, RunOutput,
 };
 pub use respec::{PatchKind, PatchOutcome, PatchRecord, Respec, RespecConfig};
 pub use select::{

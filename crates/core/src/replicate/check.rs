@@ -10,7 +10,7 @@
 use std::fmt;
 
 use brepl_ir::{BranchId, Module, Value};
-use brepl_sim::{Machine, Outcome, Run, RunConfig, RunError};
+use brepl_sim::{Machine, Outcome, OutputCheck, Run, RunConfig, RunError};
 use brepl_trace::{SiteCounts, TraceStats};
 
 use super::ReplicatedProgram;
@@ -91,13 +91,13 @@ pub fn check_equivalence(
     let (b, b_out) = run(&replicated.module).map_err(|e| EquivalenceError::Trap(e.to_string()))?;
     check_equivalence_counts(
         replicated,
-        RunCounts::of(&a, &a.sink, &a_out),
-        RunCounts::of(&b, &b.sink, &b_out),
+        RunCounts::of(&a, &a.sink, RunOutput::Tape(&a_out)),
+        RunCounts::of(&b, &b.sink, RunOutput::Tape(&b_out)),
     )
 }
 
 /// What the backstop compares of one run: its result, step count,
-/// per-site branch counts and output tape. A run that only counted its
+/// per-site branch counts and output. A run that only counted its
 /// branches ([`brepl_sim::Machine::run_with`] into a [`TraceStats`])
 /// carries everything needed; no trace is read.
 #[derive(Clone, Copy, Debug)]
@@ -108,14 +108,42 @@ pub struct RunCounts<'a> {
     pub steps: u64,
     /// Per-site taken/not-taken counts of the run's branches.
     pub counts: &'a TraceStats,
-    /// The values the run wrote with `out()`.
-    pub output: &'a [Value],
+    /// What the run wrote with `out()`.
+    pub output: RunOutput<'a>,
+}
+
+/// A run's output as the backstop compares it: the tape itself, or the
+/// summary of a run that checked each value against the other run's tape
+/// as it wrote it ([`brepl_sim::Machine::check_output`]).
+#[derive(Clone, Copy, Debug)]
+pub enum RunOutput<'a> {
+    /// The values written, in order.
+    Tape(&'a [Value]),
+    /// The check against the other run's tape.
+    Checked(OutputCheck),
+}
+
+impl RunOutput<'_> {
+    /// Whether the two runs wrote the same values. A check is read against
+    /// the tape beside it; two checks against one tape agree when both
+    /// followed it for as many values (two that left it count as
+    /// differing).
+    fn same_as(self, other: RunOutput<'_>) -> bool {
+        match (self, other) {
+            (RunOutput::Tape(a), RunOutput::Tape(b)) => a == b,
+            (RunOutput::Tape(tape), RunOutput::Checked(check))
+            | (RunOutput::Checked(check), RunOutput::Tape(tape)) => check.matches(tape),
+            (RunOutput::Checked(a), RunOutput::Checked(b)) => {
+                !a.diverged && !b.diverged && a.written == b.written
+            }
+        }
+    }
 }
 
 impl<'a> RunCounts<'a> {
     /// The observables of `run`, given its per-site `counts` (its own
-    /// sink for a counting run) and its output tape.
-    pub fn of<S>(run: &Run<S>, counts: &'a TraceStats, output: &'a [Value]) -> Self {
+    /// sink for a counting run) and its output.
+    pub fn of<S>(run: &Run<S>, counts: &'a TraceStats, output: RunOutput<'a>) -> Self {
         RunCounts {
             result: run.result,
             steps: run.steps,
@@ -152,13 +180,13 @@ pub fn check_equivalence_outcomes(
             result: a.result,
             steps: a.steps,
             counts: &a_counts,
-            output: original_output,
+            output: RunOutput::Tape(original_output),
         },
         RunCounts {
             result: b.result,
             steps: b.steps,
             counts: &b_counts,
-            output: replicated_output,
+            output: RunOutput::Tape(replicated_output),
         },
     )
 }
@@ -183,7 +211,7 @@ pub fn check_equivalence_counts(
             replicated: b.result,
         });
     }
-    if a.output != b.output {
+    if !a.output.same_as(b.output) {
         return Err(EquivalenceError::OutputMismatch);
     }
     if b.steps > a.steps {
@@ -305,7 +333,9 @@ mod tests {
 
     /// The backstop verdict on `original` vs `program`, through both entry
     /// points: the recorded-trace wrapper and the counts check fed by
-    /// counting runs. Asserts they agree.
+    /// counting runs, the latter once with both output tapes and once with
+    /// the replicated run checking its output against the original's as it
+    /// writes. Asserts they all agree.
     fn verdict(
         original: &Module,
         program: &ReplicatedProgram,
@@ -328,11 +358,116 @@ mod tests {
         let ((a, a_out), (b, b_out)) = (counted(original), counted(&program.module));
         let via_counts = check_equivalence_counts(
             program,
-            RunCounts::of(&a, &a.sink, &a_out),
-            RunCounts::of(&b, &b.sink, &b_out),
+            RunCounts::of(&a, &a.sink, RunOutput::Tape(&a_out)),
+            RunCounts::of(&b, &b.sink, RunOutput::Tape(&b_out)),
         );
         assert_eq!(via_outcomes, via_counts, "the two entry points disagree");
+        let mut m = Machine::new(&program.module, RunConfig::default()).unwrap();
+        m.check_output(&a_out);
+        let b = m
+            .run_with("main", args, &[], TraceStats::default())
+            .unwrap();
+        let b_check = m.output_check().expect("the machine checks its output");
+        let via_check = check_equivalence_counts(
+            program,
+            RunCounts::of(&a, &a.sink, RunOutput::Tape(&a_out)),
+            RunCounts::of(&b, &b.sink, RunOutput::Checked(b_check)),
+        );
+        assert_eq!(via_counts, via_check, "the output check disagrees");
         via_counts
+    }
+
+    /// A program that writes its input tape back, value by value, until
+    /// the end-of-input sentinel.
+    fn echo_module() -> Module {
+        let mut b = FunctionBuilder::new("main", 0);
+        let head = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        b.jmp(head);
+        b.switch_to(head);
+        let v = b.input();
+        let end = b.eq(v.into(), Operand::imm(-1));
+        b.br(end, exit, body);
+        b.switch_to(body);
+        b.out(v.into());
+        b.jmp(head);
+        b.switch_to(exit);
+        b.ret(None);
+        let mut m = Module::new();
+        m.push_function(b.finish());
+        m
+    }
+
+    /// The echo program on tape `original` against its identity
+    /// replication on tape `replicated`: the backstop reads an output
+    /// check exactly as it reads the replicated run's tape.
+    #[test]
+    fn an_output_check_reads_as_the_tape_it_replaces() {
+        let m = echo_module();
+        let program = identity(&m, &[]);
+        let tape =
+            |values: &[i64]| -> Vec<Value> { values.iter().map(|&v| Value::Int(v)).collect() };
+        let run = |module: &Module, input: &[Value]| {
+            let mut m = Machine::new(module, RunConfig::default()).unwrap();
+            m.set_input(input.to_vec());
+            let run = m.run_with("main", &[], &[], TraceStats::default()).unwrap();
+            (run, m.into_output())
+        };
+        let original = tape(&[4, 5, 6, 7]);
+        let (a, a_out) = run(&m, &original);
+        let cases = [
+            ("an equal tape", tape(&[4, 5, 6, 7]), Ok(())),
+            (
+                "a divergence at the first value",
+                tape(&[9, 5, 6, 7]),
+                Err(EquivalenceError::OutputMismatch),
+            ),
+            (
+                "a divergence at a middle value",
+                tape(&[4, 5, 9, 7]),
+                Err(EquivalenceError::OutputMismatch),
+            ),
+            (
+                "fewer values",
+                tape(&[4, 5, 6]),
+                Err(EquivalenceError::OutputMismatch),
+            ),
+            (
+                "more values",
+                tape(&[4, 5, 6, 7, 8]),
+                Err(EquivalenceError::OutputMismatch),
+            ),
+        ];
+        for (what, input, want) in cases {
+            let (b, b_out) = run(&program.module, &input);
+            let by_tape = check_equivalence_counts(
+                &program,
+                RunCounts::of(&a, &a.sink, RunOutput::Tape(&a_out)),
+                RunCounts::of(&b, &b.sink, RunOutput::Tape(&b_out)),
+            );
+            assert_eq!(by_tape, want, "{what}: tape comparison");
+            let mut checking = Machine::new(&program.module, RunConfig::default()).unwrap();
+            checking.set_input(input.clone());
+            checking.check_output(&a_out);
+            let c = checking
+                .run_with("main", &[], &[], TraceStats::default())
+                .unwrap();
+            let check = checking.output_check().expect("the machine checks");
+            let by_check = check_equivalence_counts(
+                &program,
+                RunCounts::of(&a, &a.sink, RunOutput::Tape(&a_out)),
+                RunCounts::of(&c, &c.sink, RunOutput::Checked(check)),
+            );
+            assert_eq!(by_check, by_tape, "{what}: output check");
+            // The check stands on either side of the comparison.
+            let swapped = RunOutput::Checked(check).same_as(RunOutput::Tape(&a_out));
+            assert_eq!(
+                swapped,
+                by_tape.is_ok(),
+                "{what}: check on the original side"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ mod simplify;
 
 pub use check::{
     check_equivalence, check_equivalence_counts, check_equivalence_outcomes, EquivalenceError,
-    RunCounts,
+    RunCounts, RunOutput,
 };
 pub use loop_replicate::MAX_PRODUCT_STATES;
 

@@ -25,11 +25,12 @@ use brepl_analysis::{
 use brepl_core::replicate::ReplicateError;
 use brepl_core::{
     apply_plan, check_equivalence_counts, select_strategies_folded, synthesize_profile_trace,
-    BranchMachine, PatchRecord, ProfileFold, ReplicatedProgram, Respec, RunCounts, Selection,
+    BranchMachine, PatchRecord, ProfileFold, ReplicatedProgram, Respec, RunCounts, RunOutput,
+    Selection,
 };
 use brepl_ir::{BranchId, Module, Value};
 use brepl_predict::{evaluate_static_counts, StaticPrediction};
-use brepl_sim::{Machine, Run, RunConfig, RunError};
+use brepl_sim::{Machine, OutputCheck, Run, RunConfig, RunError};
 use brepl_trace::{EventSink, Segment, SegmentFold, Trace, TraceStats};
 
 #[cfg(feature = "chaos")]
@@ -711,6 +712,8 @@ fn drive(
         }
     };
     let stats = fold.counts();
+    // Every re-measure checks its output against the profiling run's.
+    let expected = measured.map_or(&[][..], |(_, output)| output);
 
     // 2. Select per-branch machines — proved-monostatic sites with a
     // unanimous profile skip the machine search, with a bit-identical
@@ -845,17 +848,12 @@ fn drive(
             continue;
         }
         // The re-measure is read only per site — the score, the fold and
-        // the backstop's histograms — so it counts instead of recording.
-        let (counted, output2) = run_once(
-            &program.module,
-            args,
-            input,
-            config.run,
-            TraceStats::default(),
-        )?;
-        let report = evaluate_static_counts(&program.predictions, &counted.sink);
+        // the backstop's histograms — so it counts instead of recording,
+        // and checks its output against the profiling run's as it writes.
+        let remeasure = remeasure(&program.module, args, input, config.run, expected)?;
+        let report = evaluate_static_counts(&program.predictions, &remeasure.0.sink);
         if !refine {
-            break (program, report, warnings, (counted, output2));
+            break (program, report, warnings, remeasure);
         }
         // Fold replicated-site mispredictions back to original sites.
         let mut folded: HashMap<BranchId, u64> = HashMap::new();
@@ -873,7 +871,7 @@ fn drive(
             .map(|c| c.site)
             .collect();
         if drops.is_empty() {
-            break (program, report, warnings, (counted, output2));
+            break (program, report, warnings, remeasure);
         }
         for site in drops {
             ledger.enabled.remove(&site);
@@ -893,11 +891,11 @@ fn drive(
     // program — both already executed and both already counted per site,
     // so the check walks two per-site tables, not two traces.
     if let (Some((profile, output)), true) = (measured, config.dynamic_backstop) {
-        let (counted, output2) = &remeasured;
+        let (counted, check) = &remeasured;
         check_equivalence_counts(
             &program,
-            RunCounts::of(profile, stats, output),
-            RunCounts::of(counted, &counted.sink, output2),
+            RunCounts::of(profile, stats, RunOutput::Tape(output)),
+            RunCounts::of(counted, &counted.sink, RunOutput::Checked(*check)),
         )
         .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
     }
@@ -1008,11 +1006,13 @@ pub struct AdaptiveResult {
 /// Segment 0 is the planning segment: it drives the ordinary profiled
 /// pipeline ([`run_pipeline`]) end to end, gate list included.
 /// The shipped program is then wrapped in [`brepl_core::Respec`] and run
-/// over the full concatenated tape (execution is deterministic, so each
-/// run's prefix is exactly what already shipped) into a
-/// [`SegmentFold`], which splits the events at the segment marks and per
-/// original site as they run; segment `k` is measured against the
-/// current predictions and fed to the patcher. A
+/// over all the segments, read in place as one tape (execution is
+/// deterministic, so each run's prefix is exactly what already shipped),
+/// into a [`SegmentFold`], which splits the events at the segment marks
+/// and per original site as they run; segment `k` is measured against
+/// the current predictions and fed to the patcher. Each run checks its
+/// output against the original module's as it writes it, for the
+/// dynamic backstop, and keeps no tape of its own. A
 /// run is reused for as long as the shipped module is unchanged (a
 /// `SwapPin` patch touches only predictions, which never steer
 /// execution); a commit or rollback that rewrites the module re-runs it,
@@ -1068,22 +1068,16 @@ pub fn run_pipeline_adaptive(
         config.respec,
     )?;
 
-    // 4. Reference run: the *original* module over the full tape — the
-    // dynamic-equivalence baseline every segment run is held to. The
-    // backstop reads it only per site, so it counts instead of recording.
-    // The tape exists once, at its exact length; every run borrows it.
-    let input: Vec<Value> = segments.concat();
-    let bounds: Vec<usize> = segments
-        .iter()
-        .scan(0, |acc, seg| {
-            *acc += seg.len();
-            Some(*acc)
-        })
-        .collect();
+    // 4. Reference run: the *original* module over the caller's segments,
+    // read in place — the dynamic-equivalence baseline every segment run
+    // is held to. The backstop reads it only per site, so it counts
+    // instead of recording; of its output only the tape is kept, which
+    // every segment run checks its own output against as it writes it.
     let mut m1 = Machine::new(module, run)?;
-    m1.borrow_input(&input);
+    m1.borrow_segments(segments);
     let reference = m1.run_with("main", args, &[], TraceStats::default())?;
-    // The tape grew by doubling; only its length is read.
+    // The tape grew by doubling; the segment runs check against it, so
+    // it is held at its length.
     let mut ref_output = m1.into_output();
     ref_output.shrink_to_fit();
 
@@ -1095,33 +1089,33 @@ pub fn run_pipeline_adaptive(
     // rollback or a chaos edit changes the module; misses count against
     // the predictions current when each segment is observed.
     let mut measures = Vec::with_capacity(segments.len());
-    let mut last: Option<(Module, Run<SegmentFold>, Vec<Value>)> = None;
+    let mut last: Option<(Module, Run<SegmentFold>, OutputCheck)> = None;
     let mut segment_runs = 0;
     for k in 0..segments.len() {
         if last
             .as_ref()
             .is_none_or(|(ran, ..)| *ran != respec.program().module)
         {
-            // Drop the stale run first: never two runs' folds and output
-            // tapes alive.
+            // Drop the stale run first: never two runs' folds alive.
             drop(last.take());
             let module = respec.program().module.clone();
             let fold = SegmentFold::new(&respec.program().provenance, segments.len());
             let mut m2 = Machine::new(&module, run)?;
-            m2.borrow_input(&input);
-            // The backstop holds the output to the reference's anyway.
-            m2.reserve_output(ref_output.len());
-            let ran = m2.run_with("main", args, &bounds, fold)?;
-            let output = m2.into_output();
+            m2.borrow_segments(segments);
+            m2.check_output(&ref_output);
+            let ran = m2.run_with("main", args, &[], fold)?;
+            let check = m2
+                .output_check()
+                .expect("the segment run checks its output");
             segment_runs += 1;
-            last = Some((module, ran, output));
+            last = Some((module, ran, check));
         }
-        let (_, ran, output2) = last.as_ref().expect("a run is cached");
+        let (_, ran, check) = last.as_ref().expect("a run is cached");
         if config.pipeline.dynamic_backstop {
             check_equivalence_counts(
                 respec.program(),
-                RunCounts::of(&reference, &reference.sink, &ref_output),
-                RunCounts::of(ran, ran.sink.counts(), output2),
+                RunCounts::of(&reference, &reference.sink, RunOutput::Tape(&ref_output)),
+                RunCounts::of(ran, ran.sink.counts(), RunOutput::Checked(*check)),
             )
             .map_err(|e| PipelineError::Equivalence(e.to_string()))?;
         }
@@ -1187,6 +1181,26 @@ fn run_once<'m, S: EventSink>(
     machine.borrow_input(input);
     let ran = machine.run_with("main", args, &[], sink)?;
     Ok((ran, machine.into_output()))
+}
+
+/// Re-measures `module` on `args`/`input`, counting its branches per
+/// site. The machine borrows the input tape and checks its output against
+/// `expected` as it writes it, so no output tape is kept.
+fn remeasure(
+    module: &Module,
+    args: &[Value],
+    input: &[Value],
+    run: RunConfig,
+    expected: &[Value],
+) -> Result<(Run<TraceStats>, OutputCheck), PipelineError> {
+    let mut machine = Machine::new(module, run)?;
+    machine.borrow_input(input);
+    machine.check_output(expected);
+    let ran = machine.run_with("main", args, &[], TraceStats::default())?;
+    let check = machine
+        .output_check()
+        .expect("the machine checks its output");
+    Ok((ran, check))
 }
 
 /// Sorted, deduplicated codes of a diagnostic batch.
