@@ -21,7 +21,7 @@ use brepl_core::correlated::profile_paths;
 use brepl_core::{ProfileFold, ReplicatedProgram};
 use brepl_ir::{BranchId, Module, Value};
 use brepl_predict::StaticPrediction;
-use brepl_sim::{Machine, Outcome, RunConfig};
+use brepl_sim::{Machine, Outcome, Run, RunConfig};
 use brepl_trace::{packed_site_streams, EventSink, SegmentFold, TraceStats};
 use brepl_workloads::synth::random_loop_module;
 
@@ -191,15 +191,18 @@ pub fn sink_differential(module: &Module, args: &[Value], input: &[Value]) -> Re
             odd_taken.set(BranchId::from_index(s), true);
         }
         let recording = (&segmented, &marks[..], recorded_output.as_slice());
+        let (folded, folded_output) = fold_run(module, &provenance, args, input, bounds)?;
         check_fold(
-            module,
             &provenance,
             &odd_taken,
-            args,
-            input,
-            bounds,
+            bounds.len(),
             recording,
+            (&folded, &folded_output),
         )?;
+        // The same split, with the tape read in place as three segments.
+        let (head, tail) = input.split_at(input.len() / 2);
+        let segments = [Vec::new(), head.to_vec(), tail.to_vec()];
+        segments_differential(module, &provenance, &odd_taken, args, &segments)?;
     }
     Ok(())
 }
@@ -230,15 +233,90 @@ pub fn fold_differential(
         .run_segmented("main", args, bounds)
         .map_err(|e| format!("recording run: {e}"))?;
     let recording = (&recorded, &marks[..], m.output());
+    let (folded, folded_output) = fold_run(module, provenance, args, input, bounds)?;
     check_fold(
-        module,
         provenance,
         predictions,
-        args,
-        input,
-        bounds,
+        bounds.len(),
         recording,
+        (&folded, &folded_output),
     )
+}
+
+/// Segmented-input oracle: a run over the caller's `segments`, read in
+/// place (`Machine::borrow_segments`), must be `Machine::run_segmented`
+/// over their concatenation with the segments' cumulative lengths as
+/// bounds: the same result, steps, output tape and marks. Its
+/// [`SegmentFold`] under `provenance` must equal the fold of that split
+/// run and pass [`fold_differential`]'s check against the recording.
+/// Moving the last bound past the tape must change only the last mark,
+/// which is then padded with the final event count.
+///
+/// # Errors
+///
+/// The first difference, described; a trap in any run.
+pub fn segments_differential(
+    module: &Module,
+    provenance: &[BranchId],
+    predictions: &StaticPrediction,
+    args: &[Value],
+    segments: &[Vec<Value>],
+) -> Result<(), String> {
+    let tape = segments.concat();
+    let bounds: Vec<usize> = segments
+        .iter()
+        .scan(0, |end, segment| {
+            *end += segment.len();
+            Some(*end)
+        })
+        .collect();
+    let mut m = machine(module, &tape)?;
+    let (recorded, marks) = m
+        .run_segmented("main", args, &bounds)
+        .map_err(|e| format!("recording run: {e}"))?;
+    let recording = (&recorded, &marks[..], m.output());
+    let mut in_place_machine =
+        Machine::new(module, RunConfig::default()).map_err(|e| e.to_string())?;
+    in_place_machine.borrow_segments(segments);
+    let fold = SegmentFold::new(provenance, segments.len());
+    let in_place = in_place_machine
+        .run_with("main", args, &[], fold)
+        .map_err(|e| format!("in-place run: {e}"))?;
+    let output = in_place_machine.output();
+    check_fold(
+        provenance,
+        predictions,
+        bounds.len(),
+        recording,
+        (&in_place, output),
+    )
+    .map_err(|e| format!("in place: {e}"))?;
+    let (split, _) = fold_run(module, provenance, args, &tape, &bounds)?;
+    if split.sink != in_place.sink {
+        return Err("the in-place run folds differently from the split run".to_string());
+    }
+    let Some((_, kept)) = marks.split_last() else {
+        return Ok(());
+    };
+    let mut past = bounds;
+    *past.last_mut().expect("one bound per segment") = tape.len() + 1;
+    let (padded, padded_output) = fold_run(module, provenance, args, &tape, &past)?;
+    let mut want = kept.to_vec();
+    want.push(recorded.trace.len());
+    if padded.marks != want {
+        return Err(format!(
+            "a bound past the tape marks {:?}, want {want:?}",
+            padded.marks
+        ));
+    }
+    if padded.result != recorded.result
+        || padded.steps != recorded.steps
+        || padded_output != output
+        || padded.sink != in_place.sink
+    {
+        return Err("a bound past the tape changes the run or its fold".to_string());
+    }
+    Ok(())
 }
 
 /// Profile-fold oracle: a profiling run folded as it runs
@@ -322,32 +400,39 @@ pub fn profile_differential(
 /// A segmented recording run: its outcome, marks and output tape.
 type Recording<'a> = (&'a Outcome, &'a [usize], &'a [Value]);
 
-/// [`fold_differential`] against an already recorded run.
-fn check_fold(
+/// A run of `module` over `input` split at `bounds`, folded into a
+/// [`SegmentFold`] under `provenance`, and its output tape.
+fn fold_run(
     module: &Module,
     provenance: &[BranchId],
-    predictions: &StaticPrediction,
     args: &[Value],
     input: &[Value],
     bounds: &[usize],
-    (recorded, marks, recorded_output): Recording<'_>,
-) -> Result<(), String> {
+) -> Result<(Run<SegmentFold>, Vec<Value>), String> {
     let mut m = machine(module, input)?;
+    let fold = SegmentFold::new(provenance, bounds.len());
     let folded = m
-        .run_with(
-            "main",
-            args,
-            bounds,
-            SegmentFold::new(provenance, bounds.len()),
-        )
+        .run_with("main", args, bounds, fold)
         .map_err(|e| format!("folding run: {e}"))?;
+    Ok((folded, m.into_output()))
+}
+
+/// [`fold_differential`] on an already recorded run of `segments`
+/// segments and a folding run of the same input with its output tape.
+fn check_fold(
+    provenance: &[BranchId],
+    predictions: &StaticPrediction,
+    segments: usize,
+    (recorded, marks, recorded_output): Recording<'_>,
+    (folded, folded_output): (&Run<SegmentFold>, &[Value]),
+) -> Result<(), String> {
     if folded.result != recorded.result || folded.steps != recorded.steps {
         return Err(format!(
             "folding run returned {:?} in {} steps, recording run {:?} in {}",
             folded.result, folded.steps, recorded.result, recorded.steps
         ));
     }
-    if m.output() != recorded_output {
+    if folded_output != recorded_output {
         return Err("folding run wrote a different output tape".to_string());
     }
     if folded.marks != marks {
@@ -362,7 +447,7 @@ fn check_fold(
     let pins: Vec<bool> = (0..provenance.len())
         .map(|s| predictions.get(BranchId::from_index(s)))
         .collect();
-    let segments = bounds.len().max(1);
+    let segments = segments.max(1);
     for k in 0..segments {
         let start = if k == 0 { 0 } else { marks[k - 1] };
         let end = if k + 1 == segments {

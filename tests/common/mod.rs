@@ -53,6 +53,43 @@ pub fn drift_scenarios() -> Vec<(&'static str, Module, Vec<Vec<Value>>)> {
     ]
 }
 
+/// The shapes of brbench's `drift-adapt` scenarios at seed 0, with
+/// `segments` segments of `symbols` symbols each: `kmp-swap` (text bias
+/// 1/4 for segments 0–2, then 3/4), `gate-cycle` (the input gate
+/// alternating for two segments, then constant for two, and so on) and
+/// `kmp-stable` (bias 1/2 throughout).
+#[allow(dead_code)]
+pub fn bench_drift_scenarios(
+    segments: usize,
+    symbols: usize,
+) -> Vec<(&'static str, Module, Vec<Vec<Value>>)> {
+    let text_seed = |scenario: u64, k: usize| scenario * 1000 + k as u64;
+    let swap = (0..segments)
+        .map(|k| {
+            let num = if k < 3 { 1 } else { 3 };
+            kmp::biased_text(symbols, text_seed(1, k), num, 4)
+        })
+        .collect();
+    let cycle = (0..segments)
+        .map(|k| {
+            let pattern = if (k / 2) % 2 == 0 {
+                GatePattern::Alternating
+            } else {
+                GatePattern::Constant(1)
+            };
+            gate_tape(symbols, pattern)
+        })
+        .collect();
+    let stable = (0..segments)
+        .map(|k| kmp::biased_text(symbols, text_seed(3, k), 1, 2))
+        .collect();
+    vec![
+        ("kmp-swap", kmp::drift_module(), swap),
+        ("gate-cycle", input_gate_module(), cycle),
+        ("kmp-stable", kmp::drift_module(), stable),
+    ]
+}
+
 /// An alternating machine-worthy branch (site 0), a proved-always-taken
 /// guard (site 1) and a loop back edge (site 2): the shape on which the
 /// trace and static-profile chaos forges fire proper instead of falling

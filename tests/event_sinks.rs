@@ -10,7 +10,10 @@
 //! The adaptive driver's segment runs fold their events per segment and
 //! original site as they run (`SegmentFold`), so a folding run must be
 //! the recording run sliced at its marks: `fuzz::fold_differential`, on
-//! every drift scenario and on shipped random loop CFGs.
+//! every drift scenario and on shipped random loop CFGs. They read the
+//! caller's segments in place, so such a run must be the run over the
+//! concatenated tape split at the segments' ends:
+//! `fuzz::segments_differential`.
 //!
 //! The profiling run folds its counts, outcome streams and path profiles
 //! as it runs (`ProfileFold`), so it must equal what selection computes
@@ -25,7 +28,9 @@ use brepl::sim::{Machine, RunConfig};
 use brepl::workloads::synth::random_loop_module;
 use brepl::workloads::{all_workloads, workload_by_name, Scale};
 use brepl_analysis::classify_module;
-use brepl_bench::fuzz::{fold_differential, profile_differential, sink_differential};
+use brepl_bench::fuzz::{
+    fold_differential, profile_differential, segments_differential, sink_differential,
+};
 use brepl_ir::{BranchId, Module, Value};
 use brepl_predict::StaticPrediction;
 
@@ -92,6 +97,44 @@ fn segment_fold_equals_sliced_trace_on_every_drift_scenario() {
                 &bounds,
             )
             .unwrap_or_else(|e| panic!("{name} original, {} symbols: {e}", tape.len()));
+        }
+    }
+}
+
+/// The adaptive driver reads the caller's segments in place: a run over
+/// them must be `run_segmented` over their concatenation (result, steps,
+/// output, marks and fold), and a last bound moved past the tape must
+/// only pad the last mark (`fuzz::segments_differential`). On every drift
+/// scenario and brbench's three scenario shapes at small size, shipped,
+/// for each bounds form. Both drift programs drain the tape until they
+/// read the `-1` sentinel, so the last segment's end is marked at that
+/// read, not padded.
+#[test]
+fn segments_read_in_place_equal_the_split_tape_on_every_drift_scenario() {
+    let scenarios = common::drift_scenarios()
+        .into_iter()
+        .chain(common::bench_drift_scenarios(12, 400));
+    for (name, module, segments) in scenarios {
+        let shipped = run_pipeline(&module, &[], &segments[0], PipelineConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"))
+            .program;
+        let mut empty_first = segments.clone();
+        empty_first.insert(0, Vec::new());
+        let mut empty_middle = segments.clone();
+        empty_middle.insert(segments.len() / 2, Vec::new());
+        for (form, segments) in [
+            ("the scenario's segments, read to the sentinel", segments),
+            ("an empty first segment", empty_first),
+            ("an empty middle segment", empty_middle),
+        ] {
+            segments_differential(
+                &shipped.module,
+                &shipped.provenance,
+                &shipped.predictions,
+                &[],
+                &segments,
+            )
+            .unwrap_or_else(|e| panic!("{name}, {form}: {e}"));
         }
     }
 }
