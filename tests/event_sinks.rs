@@ -33,6 +33,7 @@ use brepl_bench::fuzz::{
 };
 use brepl_ir::{BranchId, Module, Value};
 use brepl_predict::StaticPrediction;
+use brepl_trace::{EventSink, TraceStats};
 
 #[test]
 fn counting_runs_equal_recording_runs_on_every_workload() {
@@ -118,6 +119,17 @@ fn segments_read_in_place_equal_the_split_tape_on_every_drift_scenario() {
         let shipped = run_pipeline(&module, &[], &segments[0], PipelineConfig::default())
             .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"))
             .program;
+        // The last segment's end is marked at the sentinel read, before
+        // the program's last branch: not padded.
+        let mut m = Machine::new(&shipped.module, RunConfig::default()).expect("machine");
+        m.borrow_segments(&segments);
+        let run = m.run_with("main", &[], &[], TraceStats::default());
+        let run = run.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            run.marks.last() < Some(&run.sink.events()),
+            "{name}: the last segment's end is padded, {:?}",
+            run.marks
+        );
         let mut empty_first = segments.clone();
         empty_first.insert(0, Vec::new());
         let mut empty_middle = segments.clone();
